@@ -138,8 +138,9 @@ USAGE:
       (disconnect|truncation|bit-flip|stall|slow-loris, or a spec like
       `cut@900;flip@1200`) for testing the recovery path.
   critlock status --at ADDR [--json] [--timeout SECS]
-      Query a collector's live analysis snapshots. --timeout bounds the
-      query so a hung collector yields an error, not a hang.
+      Query a collector's live analysis snapshots. --timeout (default 5
+      seconds) bounds the query so a hung collector yields an error, not
+      a hang.
   critlock health <addr> [--json] [--timeout SECS]
       Probe a collector's health over its status socket and classify it
       ok / degraded / unhealthy from queue saturation, shed and quota
@@ -149,7 +150,8 @@ USAGE:
       liveness/readiness probe. --timeout defaults to 5 seconds.
   critlock metrics <addr> [--timeout SECS]
       Scrape a collector's metrics endpoint (Prometheus exposition
-      format). <addr> is the collector's --metrics address.
+      format). <addr> is the collector's --metrics address. --timeout
+      defaults to 5 seconds.
   critlock aggregate [INPUT...] [--at ADDR] [--json] [--top N] [--out FILE]
                      [--timeout SECS]
       Merge per-session critical-lock rankings into one fleet-wide
@@ -162,7 +164,8 @@ USAGE:
       digested on the fly; --at fetches a
       live collector's rollup (repeatable via multiple invocations and
       --out, since merging is idempotent). --out saves the merged rollup
-      as a CLAG file for later (re-)aggregation. The report is
+      as a CLAG file for later (re-)aggregation. --timeout (default 5
+      seconds) bounds the --at fetch. The report is
       deterministic: byte-identical for the same set of sessions, no
       matter how they were sharded, ordered or batched.
 ";
@@ -604,6 +607,24 @@ fn cmd_serve(p: &args::Parsed) -> Result<String, String> {
     }
 }
 
+/// Default `--timeout` of the control verbs (`status`, `health`,
+/// `metrics`, `aggregate --at`), so a wedged collector cannot hang them.
+const CONTROL_TIMEOUT_SECS: u64 = 5;
+
+/// Parse `--timeout SECS`, falling back to `default` seconds; `None`
+/// blocks indefinitely. Clamped to at least one second, because sockets
+/// reject a zero timeout.
+fn io_timeout(
+    p: &args::Parsed,
+    default: Option<u64>,
+) -> Result<Option<std::time::Duration>, String> {
+    let secs = match p.options.get("timeout") {
+        Some(s) => Some(s.parse::<u64>().map_err(|_| format!("invalid --timeout: {s}"))?),
+        None => default,
+    };
+    Ok(secs.map(|secs| std::time::Duration::from_secs(secs.max(1))))
+}
+
 fn cmd_push(p: &args::Parsed) -> Result<String, String> {
     let trace = load_trace(p.positional(0, "trace file")?)?;
     let to = p.options.get("to").ok_or_else(|| "missing --to ADDR".to_string())?;
@@ -614,12 +635,7 @@ fn cmd_push(p: &args::Parsed) -> Result<String, String> {
         )),
         None => None,
     };
-    let timeout = match p.options.get("timeout") {
-        Some(s) => Some(std::time::Duration::from_secs(
-            s.parse().map_err(|_| format!("invalid --timeout: {s}"))?,
-        )),
-        None => None,
-    };
+    let timeout = io_timeout(p, None)?;
     let retries: u32 = p.get_or("retries", 5u32)?;
     let fault_plan = p
         .options
@@ -646,12 +662,7 @@ fn cmd_push(p: &args::Parsed) -> Result<String, String> {
 fn cmd_status(p: &args::Parsed) -> Result<String, String> {
     let at = p.options.get("at").ok_or_else(|| "missing --at ADDR".to_string())?;
     let addr = parse_addr(at)?;
-    let timeout = match p.options.get("timeout") {
-        Some(s) => Some(std::time::Duration::from_secs(
-            s.parse().map_err(|_| format!("invalid --timeout: {s}"))?,
-        )),
-        None => None,
-    };
+    let timeout = io_timeout(p, Some(CONTROL_TIMEOUT_SECS))?;
     let reply = critlock_collector::fetch_status_text_timeout(&addr, p.flag("json"), timeout)
         .map_err(|e| format!("status query to {addr} failed: {e}"))?;
     if reply.is_empty() {
@@ -668,8 +679,7 @@ fn cmd_status(p: &args::Parsed) -> Result<String, String> {
 fn cmd_health(p: &args::Parsed) -> Result<(String, u8), String> {
     let at = p.positional(0, "status address")?;
     let addr = parse_addr(at)?;
-    let secs: u64 = p.get_or("timeout", 5u64)?;
-    let timeout = Some(std::time::Duration::from_secs(secs.max(1)));
+    let timeout = io_timeout(p, Some(CONTROL_TIMEOUT_SECS))?;
     let report = critlock_collector::fetch_health(&addr, timeout)
         .map_err(|e| format!("health probe of {addr} failed: {e}"))?;
     let output = if p.flag("json") {
@@ -685,12 +695,7 @@ fn cmd_health(p: &args::Parsed) -> Result<(String, u8), String> {
 fn cmd_metrics(p: &args::Parsed) -> Result<String, String> {
     let at = p.positional(0, "metrics address")?;
     let addr = parse_addr(at)?;
-    let timeout = match p.options.get("timeout") {
-        Some(s) => Some(std::time::Duration::from_secs(
-            s.parse().map_err(|_| format!("invalid --timeout: {s}"))?,
-        )),
-        None => None,
-    };
+    let timeout = io_timeout(p, Some(CONTROL_TIMEOUT_SECS))?;
     let reply = critlock_collector::fetch_metrics_text(&addr, timeout)
         .map_err(|e| format!("metrics scrape from {addr} failed: {e}"))?;
     if reply.is_empty() {
@@ -725,12 +730,7 @@ fn cmd_aggregate(p: &args::Parsed) -> Result<String, String> {
     use critlock_aggregate::FleetReport;
     use critlock_trace::rollup::Rollup;
 
-    let timeout = match p.options.get("timeout") {
-        Some(s) => Some(std::time::Duration::from_secs(
-            s.parse().map_err(|_| format!("invalid --timeout: {s}"))?,
-        )),
-        None => None,
-    };
+    let timeout = io_timeout(p, Some(CONTROL_TIMEOUT_SECS))?;
     let mut rollup = Rollup::new();
     for input in &p.positionals {
         let path = std::path::Path::new(input);
@@ -802,6 +802,36 @@ mod tests {
         assert!(run(&sv(&["--help"])).unwrap().contains("USAGE"));
         assert!(run(&sv(&[])).unwrap().contains("USAGE"));
         assert!(run(&sv(&["bogus"])).is_err());
+    }
+
+    #[test]
+    fn control_verbs_time_out_against_a_silent_listener() {
+        // A listener that accepts and holds each connection open without
+        // ever replying, until the test is done.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (done, wait_done) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let held: Vec<_> = listener.incoming().take(2).collect();
+            let _ = wait_done.recv();
+            drop(held);
+        });
+        for (argv, bound) in [
+            (vec!["status", "--at", &addr, "--timeout", "1"], 1),
+            (vec!["status", "--at", &addr], CONTROL_TIMEOUT_SECS),
+        ] {
+            let started = std::time::Instant::now();
+            let err = run(&sv(&argv)).unwrap_err();
+            let waited = started.elapsed();
+            assert!(err.contains("status query"), "{argv:?}: {err}");
+            assert!(
+                waited < std::time::Duration::from_secs(bound + 3),
+                "{argv:?} waited {waited:?}"
+            );
+        }
+        assert!(run(&sv(&["status", "--at", &addr, "--timeout", "x"])).is_err());
+        drop(done);
+        holder.join().unwrap();
     }
 
     #[test]

@@ -87,107 +87,67 @@ impl SessionAssembler {
         self.events_dropped_counter = Some(events_dropped);
     }
 
-    /// Fold one frame into the partial trace. Never fails: malformed
-    /// sequences are tolerated here and cleaned up in [`finalize`].
+    /// Fold one validated frame into the partial trace. Never fails:
+    /// malformed sequences are tolerated here and cleaned up in
+    /// [`finalize`].
+    ///
+    /// `Events` payloads are decoded lazily through the borrowed iterator
+    /// straight into the target thread stream — no intermediate
+    /// `Vec<Event>`; malformed content keeps its decodable prefix. The
+    /// rare registration frames are decoded to an owned [`Frame`].
     ///
     /// [`finalize`]: SessionAssembler::finalize
-    pub fn apply(&mut self, frame: Frame) {
-        self.frames += 1;
-        match frame {
-            Frame::Start { meta } => {
-                if !self.started {
-                    self.trace.meta = meta;
-                    self.started = true;
-                }
-            }
-            Frame::Param { key, value } => {
-                self.trace.meta.params.insert(key, value);
-            }
-            Frame::Objects { first_id, objects } => {
-                let first = first_id as usize;
-                // Fill any gap left by a dropped registration frame with
-                // placeholders; repair re-kinds them from first use.
-                while self.trace.objects.len() < first {
-                    let i = self.trace.objects.len();
-                    self.trace
-                        .objects
-                        .push(ObjInfo { kind: ObjKind::Marker, name: format!("unregistered-{i}") });
-                }
-                for (i, obj) in objects.into_iter().enumerate() {
-                    let idx = first + i;
-                    if idx < self.trace.objects.len() {
-                        self.trace.objects[idx] = obj;
-                    } else {
-                        self.trace.objects.push(obj);
-                    }
-                }
-            }
-            Frame::Thread { tid, name } => {
-                self.online.declare(tid);
-                match self.trace.threads.iter_mut().find(|s| s.tid == tid) {
-                    Some(stream) => stream.name = name,
-                    None => {
-                        let mut stream = ThreadStream::new(tid);
-                        stream.name = name;
-                        self.trace.threads.push(stream);
-                    }
-                }
-            }
-            Frame::Events { tid, mut events } => {
-                if let Some(c) = &self.events_in_counter {
-                    c.add(events.len() as u64);
-                }
-                if let Some(cap) = self.budget.max_events {
-                    let allow = cap.saturating_sub(self.events);
-                    if events.len() as u64 > allow {
-                        let dropped = events.len() as u64 - allow;
-                        self.events_dropped += dropped;
-                        if let Some(c) = &self.events_dropped_counter {
-                            c.add(dropped);
-                        }
-                        events.truncate(allow as usize);
-                    }
-                }
-                self.events += events.len() as u64;
-                if let Some(ring) = &self.ring {
-                    if events.iter().any(|ev| ev.ts < ring.closed_lo()) {
-                        self.windows_stale = true;
-                    }
-                }
-                self.online.ingest(tid, &events);
-                let idx = match self.trace.threads.iter().position(|s| s.tid == tid) {
-                    Some(idx) => idx,
-                    None => {
-                        // Announcement frame lost; synthesize the stream.
-                        self.trace.threads.push(ThreadStream::new(tid));
-                        self.trace.threads.len() - 1
-                    }
-                };
-                self.trace.threads[idx].events.extend(events);
-            }
-            Frame::End => self.ended = true,
-        }
-    }
-
-    /// Fold one validated raw frame into the partial trace, decoding
-    /// `Events` payloads lazily through the borrowed iterator straight
-    /// into the target thread stream — no intermediate `Vec<Event>`.
-    /// Equivalent to `apply(raw.decode()?)` for every well-formed frame;
-    /// like [`apply`], malformed content is tolerated (the decodable
-    /// prefix is kept) rather than failing.
-    ///
-    /// [`apply`]: SessionAssembler::apply
     pub fn apply_raw(&mut self, raw: &RawFrame) {
+        self.frames += 1;
         let Some((tid, events)) = raw.events() else {
-            // Registration frames are rare and small: the owned decode is
-            // the right tool, and keeps the two paths trivially identical.
             match raw.decode() {
-                Ok(frame) => self.apply(frame),
-                Err(_) => self.frames += 1,
+                Ok(Frame::Start { meta }) => {
+                    if !self.started {
+                        self.trace.meta = meta;
+                        self.started = true;
+                    }
+                }
+                Ok(Frame::Param { key, value }) => {
+                    self.trace.meta.params.insert(key, value);
+                }
+                Ok(Frame::Objects { first_id, objects }) => {
+                    let first = first_id as usize;
+                    // Fill any gap left by a dropped registration frame with
+                    // placeholders; repair re-kinds them from first use.
+                    while self.trace.objects.len() < first {
+                        let i = self.trace.objects.len();
+                        self.trace.objects.push(ObjInfo {
+                            kind: ObjKind::Marker,
+                            name: format!("unregistered-{i}"),
+                        });
+                    }
+                    for (i, obj) in objects.into_iter().enumerate() {
+                        let idx = first + i;
+                        if idx < self.trace.objects.len() {
+                            self.trace.objects[idx] = obj;
+                        } else {
+                            self.trace.objects.push(obj);
+                        }
+                    }
+                }
+                Ok(Frame::Thread { tid, name }) => {
+                    self.online.declare(tid);
+                    match self.trace.threads.iter_mut().find(|s| s.tid == tid) {
+                        Some(stream) => stream.name = name,
+                        None => {
+                            let mut stream = ThreadStream::new(tid);
+                            stream.name = name;
+                            self.trace.threads.push(stream);
+                        }
+                    }
+                }
+                Ok(Frame::End) => self.ended = true,
+                // `Events` is folded in place below, and a validated
+                // payload always decodes.
+                Ok(Frame::Events { .. }) | Err(_) => {}
             }
             return;
         };
-        self.frames += 1;
         let declared = events.remaining_events();
         if let Some(c) = &self.events_in_counter {
             c.add(declared);
@@ -721,12 +681,16 @@ mod tests {
         frames
     }
 
+    fn apply(asm: &mut SessionAssembler, frame: &Frame) {
+        asm.apply_raw(&RawFrame::encode(frame).unwrap());
+    }
+
     #[test]
     fn graceful_session_is_identity() {
         let trace = sample();
         let mut asm = SessionAssembler::new();
         for f in frames_for(&trace) {
-            asm.apply(f);
+            apply(&mut asm, &f);
         }
         assert!(asm.ended());
         let out = asm.finalize();
@@ -746,9 +710,9 @@ mod tests {
                 if tid == ThreadId(0) {
                     events.truncate(5); // cut inside the contended acquire
                 }
-                asm.apply(Frame::Events { tid, events });
+                apply(&mut asm, &Frame::Events { tid, events });
             } else {
-                asm.apply(f);
+                apply(&mut asm, &f);
             }
         }
         assert!(!asm.ended());
@@ -765,7 +729,7 @@ mod tests {
             if matches!(f, Frame::Objects { .. } | Frame::Thread { .. }) {
                 continue;
             }
-            asm.apply(f);
+            apply(&mut asm, &f);
         }
         let out = asm.finalize();
         out.validate().expect("inferred registrations must validate");
@@ -776,20 +740,26 @@ mod tests {
     #[test]
     fn orphan_events_from_dropped_frames_are_discarded() {
         let mut asm = SessionAssembler::new();
-        asm.apply(Frame::Start { meta: Default::default() });
-        asm.apply(Frame::Objects {
-            first_id: 0,
-            objects: vec![ObjInfo { kind: ObjKind::Lock, name: "L".into() }],
-        });
-        asm.apply(Frame::Thread { tid: ThreadId(0), name: None });
+        apply(&mut asm, &Frame::Start { meta: Default::default() });
+        apply(
+            &mut asm,
+            &Frame::Objects {
+                first_id: 0,
+                objects: vec![ObjInfo { kind: ObjKind::Lock, name: "L".into() }],
+            },
+        );
+        apply(&mut asm, &Frame::Thread { tid: ThreadId(0), name: None });
         // An Obtain/Release whose Acquire frame was dropped.
-        asm.apply(Frame::Events {
-            tid: ThreadId(0),
-            events: vec![
-                Event::new(5, EventKind::LockObtain { lock: ObjId(0) }),
-                Event::new(9, EventKind::LockRelease { lock: ObjId(0) }),
-            ],
-        });
+        apply(
+            &mut asm,
+            &Frame::Events {
+                tid: ThreadId(0),
+                events: vec![
+                    Event::new(5, EventKind::LockObtain { lock: ObjId(0) }),
+                    Event::new(9, EventKind::LockRelease { lock: ObjId(0) }),
+                ],
+            },
+        );
         let out = asm.finalize();
         out.validate().unwrap();
         // Both orphans are discarded, leaving a valid empty stream.
@@ -805,8 +775,8 @@ mod tests {
         let mut asm = SessionAssembler::with_budget(Budget::unlimited().with_max_events(cap));
         let mut again = SessionAssembler::with_budget(Budget::unlimited().with_max_events(cap));
         for f in &frames {
-            asm.apply(f.clone());
-            again.apply(f.clone());
+            apply(&mut asm, f);
+            apply(&mut again, f);
         }
         assert!(asm.degraded());
         assert_eq!(asm.events(), cap);
@@ -818,74 +788,91 @@ mod tests {
 
         // An ample budget is a no-op: identity with the unbudgeted path.
         let mut roomy = SessionAssembler::with_budget(Budget::unlimited().with_max_events(total));
-        for f in frames {
-            roomy.apply(f);
+        for f in &frames {
+            apply(&mut roomy, f);
         }
         assert!(!roomy.degraded());
         assert_eq!(roomy.finalize(), trace);
     }
 
     #[test]
-    fn raw_apply_is_bit_identical_to_owned_apply() {
+    fn apply_raw_reassembles_the_source_frames_exactly() {
         let trace = sample();
         let frames = frames_for(&trace);
-        // Unbudgeted: identity with both paths.
-        let mut owned = SessionAssembler::new();
-        let mut raw = SessionAssembler::new();
+        // Unbudgeted: the partial trace is the source trace itself.
+        let mut asm = SessionAssembler::new();
         for f in &frames {
-            owned.apply(f.clone());
-            raw.apply_raw(&RawFrame::encode(f).unwrap());
+            apply(&mut asm, f);
         }
-        assert_eq!(raw.frames(), owned.frames());
-        assert_eq!(raw.events(), owned.events());
-        assert!(raw.ended());
-        assert_eq!(raw.partial(), owned.partial());
-        assert_eq!(raw.finalize(), owned.finalize());
-        assert_eq!(raw.online_report(), owned.online_report());
+        assert_eq!(asm.frames(), frames.len() as u64);
+        assert_eq!(asm.events(), trace.num_events() as u64);
+        assert!(asm.ended());
+        assert_eq!(asm.partial(), &trace);
+        assert_eq!(asm.finalize(), trace);
+        assert_eq!(asm.online_report(), critlock_analysis::online::online_analyze(&trace));
 
-        // Budget truncation lands on the same deterministic prefix.
+        // Budget truncation keeps exactly the first `cap` events of the
+        // source frames, in arrival order.
         let total: u64 = trace.num_events() as u64;
         let cap = total / 2;
-        let mut owned = SessionAssembler::with_budget(Budget::unlimited().with_max_events(cap));
-        let mut raw = SessionAssembler::with_budget(Budget::unlimited().with_max_events(cap));
-        for f in &frames {
-            owned.apply(f.clone());
-            raw.apply_raw(&RawFrame::encode(f).unwrap());
+        let mut asm = SessionAssembler::with_budget(Budget::unlimited().with_max_events(cap));
+        let mut expected = trace.clone();
+        for stream in &mut expected.threads {
+            stream.events.clear();
         }
-        assert!(raw.degraded());
-        assert_eq!(raw.events(), owned.events());
-        assert_eq!(raw.events_dropped(), owned.events_dropped());
-        assert_eq!(raw.partial(), owned.partial());
-        assert_eq!(raw.finalize(), owned.finalize());
+        let mut left = cap as usize;
+        for f in &frames {
+            apply(&mut asm, f);
+            if let Frame::Events { tid, events } = f {
+                let keep = events.len().min(left);
+                left -= keep;
+                expected.threads[tid.index()].events.extend_from_slice(&events[..keep]);
+            }
+        }
+        assert!(asm.degraded());
+        assert_eq!(asm.events(), cap);
+        assert_eq!(asm.events_dropped(), total - cap);
+        assert_eq!(asm.partial(), &expected);
+        repair(&mut expected);
+        assert_eq!(asm.finalize(), expected);
     }
 
     #[test]
     fn open_condvar_and_barrier_waits_are_closed() {
         let mut asm = SessionAssembler::new();
-        asm.apply(Frame::Start { meta: Default::default() });
-        asm.apply(Frame::Objects {
-            first_id: 0,
-            objects: vec![
-                ObjInfo { kind: ObjKind::Barrier, name: "B".into() },
-                ObjInfo { kind: ObjKind::Condvar, name: "CV".into() },
-            ],
-        });
-        asm.apply(Frame::Thread { tid: ThreadId(0), name: None });
-        asm.apply(Frame::Thread { tid: ThreadId(1), name: None });
-        asm.apply(Frame::Events {
-            tid: ThreadId(0),
-            events: vec![
-                Event::new(0, EventKind::ThreadStart),
-                Event::new(3, EventKind::BarrierArrive { barrier: ObjId(0), epoch: 0 }),
-            ],
-        });
-        asm.apply(Frame::Events {
-            tid: ThreadId(1),
-            events: vec![
-                Event::new(0, EventKind::ThreadStart),
-                Event::new(2, EventKind::CondWaitBegin { cv: ObjId(1) }),
-            ],
-        });
+        apply(&mut asm, &Frame::Start { meta: Default::default() });
+        apply(
+            &mut asm,
+            &Frame::Objects {
+                first_id: 0,
+                objects: vec![
+                    ObjInfo { kind: ObjKind::Barrier, name: "B".into() },
+                    ObjInfo { kind: ObjKind::Condvar, name: "CV".into() },
+                ],
+            },
+        );
+        apply(&mut asm, &Frame::Thread { tid: ThreadId(0), name: None });
+        apply(&mut asm, &Frame::Thread { tid: ThreadId(1), name: None });
+        apply(
+            &mut asm,
+            &Frame::Events {
+                tid: ThreadId(0),
+                events: vec![
+                    Event::new(0, EventKind::ThreadStart),
+                    Event::new(3, EventKind::BarrierArrive { barrier: ObjId(0), epoch: 0 }),
+                ],
+            },
+        );
+        apply(
+            &mut asm,
+            &Frame::Events {
+                tid: ThreadId(1),
+                events: vec![
+                    Event::new(0, EventKind::ThreadStart),
+                    Event::new(2, EventKind::CondWaitBegin { cv: ObjId(1) }),
+                ],
+            },
+        );
         let out = asm.finalize();
         out.validate().expect("open waits must be closed");
         assert!(out.threads[0]

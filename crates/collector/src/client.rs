@@ -55,6 +55,15 @@ impl Write for PushConn {
 }
 
 impl PushConn {
+    /// Wrap a connected socket, behind the fault injector when `faults`
+    /// is set.
+    fn new(stream: Stream, faults: &Option<Arc<Mutex<FaultState>>>) -> Self {
+        match faults {
+            Some(state) => PushConn::Faulty(FaultStream::new(stream, Arc::clone(state))),
+            None => PushConn::Plain(stream),
+        }
+    }
+
     fn shutdown_write(&self) -> io::Result<()> {
         match self {
             PushConn::Plain(s) => s.shutdown_write(),
@@ -108,13 +117,15 @@ pub fn push(addr: &Addr, trace: &Trace, pace: Option<Duration>) -> io::Result<u6
     )
 }
 
-fn connect(addr: &Addr, opts: &PushOptions) -> io::Result<Stream> {
-    let stream = match opts.timeout {
+/// Connect to `addr`, bounding the connect and every later socket read
+/// and write by `timeout` (`None` blocks indefinitely).
+fn connect(addr: &Addr, timeout: Option<Duration>) -> io::Result<Stream> {
+    let stream = match timeout {
         Some(timeout) => Stream::connect_timeout(addr, timeout)?,
         None => Stream::connect(addr)?,
     };
-    stream.set_read_timeout(opts.timeout)?;
-    stream.set_write_timeout(opts.timeout)?;
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
     Ok(stream)
 }
 
@@ -135,11 +146,7 @@ fn push_attempt(
     opts: &PushOptions,
     faults: &Option<Arc<Mutex<FaultState>>>,
 ) -> io::Result<u64> {
-    let stream = connect(addr, opts)?;
-    let conn = match faults {
-        Some(state) => PushConn::Faulty(FaultStream::new(stream, Arc::clone(state))),
-        None => PushConn::Plain(stream),
-    };
+    let conn = PushConn::new(connect(addr, opts.timeout)?, faults);
     let resumable = !token.is_empty();
     let mut conn = BufReader::new(conn);
 
@@ -249,6 +256,35 @@ fn to_io(e: critlock_trace::TraceError) -> io::Error {
     }
 }
 
+/// One control-socket exchange: connect, send the request line `head`
+/// and an optional `body`, half-close, and read the reply to its end.
+/// `timeout` bounds connect and socket I/O, so a hung collector yields an
+/// error instead of a hang; `faults` injects transport faults on the wire.
+fn request(
+    addr: &Addr,
+    head: &str,
+    body: Option<&[u8]>,
+    timeout: Option<Duration>,
+    faults: &Option<Arc<Mutex<FaultState>>>,
+) -> io::Result<Vec<u8>> {
+    let mut conn = PushConn::new(connect(addr, timeout)?, faults);
+    conn.write_all(head.as_bytes())?;
+    if let Some(body) = body {
+        conn.write_all(body)?;
+    }
+    conn.flush()?;
+    conn.shutdown_write()?;
+    let mut reply = Vec::new();
+    conn.read_to_end(&mut reply)?;
+    Ok(reply)
+}
+
+/// A [`request`] whose reply is text.
+fn request_text(addr: &Addr, head: &str, timeout: Option<Duration>) -> io::Result<String> {
+    String::from_utf8(request(addr, head, None, timeout, &None)?)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 /// Fetch the collector status over the status socket. `json` selects the
 /// machine-readable reply. `timeout` bounds connect and socket I/O, so a
 /// hung collector yields an error instead of a hang.
@@ -257,60 +293,20 @@ pub fn fetch_status_text_timeout(
     json: bool,
     timeout: Option<Duration>,
 ) -> io::Result<String> {
-    let mut stream = match timeout {
-        Some(t) => Stream::connect_timeout(addr, t)?,
-        None => Stream::connect(addr)?,
-    };
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    let request = if json { "status json\n" } else { "status\n" };
-    stream.write_all(request.as_bytes())?;
-    stream.flush()?;
-    stream.shutdown_write()?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_to_string(&mut reply)?;
-    Ok(reply)
-}
-
-/// Fetch the collector status over the status socket. `json` selects the
-/// machine-readable reply.
-pub fn fetch_status_text(addr: &Addr, json: bool) -> io::Result<String> {
-    fetch_status_text_timeout(addr, json, None)
+    request_text(addr, if json { "status json\n" } else { "status\n" }, timeout)
 }
 
 /// Scrape the collector's Prometheus-style metrics text over the metrics
 /// socket. `timeout` bounds connect and socket I/O.
 pub fn fetch_metrics_text(addr: &Addr, timeout: Option<Duration>) -> io::Result<String> {
-    let mut stream = match timeout {
-        Some(t) => Stream::connect_timeout(addr, t)?,
-        None => Stream::connect(addr)?,
-    };
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    stream.write_all(b"metrics\n")?;
-    stream.flush()?;
-    stream.shutdown_write()?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_to_string(&mut reply)?;
-    Ok(reply)
+    request_text(addr, "metrics\n", timeout)
 }
 
 /// Fetch a collector's CLAG rollup over the status socket: every session
 /// the collector tracks, digested, merged with anything its children
 /// forwarded up. `timeout` bounds connect and socket I/O.
 pub fn fetch_rollup(addr: &Addr, timeout: Option<Duration>) -> io::Result<Rollup> {
-    let mut stream = match timeout {
-        Some(t) => Stream::connect_timeout(addr, t)?,
-        None => Stream::connect(addr)?,
-    };
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    stream.write_all(b"rollup\n")?;
-    stream.flush()?;
-    stream.shutdown_write()?;
-    let mut reply = Vec::new();
-    BufReader::new(stream).read_to_end(&mut reply)?;
-    Rollup::from_bytes(&reply).map_err(to_io)
+    Rollup::from_bytes(&request(addr, "rollup\n", None, timeout, &None)?).map_err(to_io)
 }
 
 /// Push a CLAG rollup into a parent collector over its status socket
@@ -318,13 +314,8 @@ pub fn fetch_rollup(addr: &Addr, timeout: Option<Duration>) -> io::Result<Rollup
 /// parent's total retained session count after the merge. The parent's
 /// merge is idempotent, so re-pushing after an error is always safe; a
 /// parent at its rollup-session cap rejects the push whole (an `err`
-/// reply surfaces here as `InvalidData`).
-pub fn push_rollup(addr: &Addr, rollup: &Rollup, timeout: Option<Duration>) -> io::Result<u64> {
-    push_rollup_with(addr, rollup, timeout, &None)
-}
-
-/// [`push_rollup`] with deterministic transport faults on the wire — the
-/// forwarder's chaos-testing path. `faults` is the shared [`FaultState`]
+/// reply surfaces here as `InvalidData`). `faults` is the shared
+/// [`FaultState`] of the forwarder's chaos tests (`None` in production),
 /// so one-shot fault actions are consumed across pushes, exactly like the
 /// resumable trace-push path consumes them across reconnects.
 pub fn push_rollup_with(
@@ -333,23 +324,10 @@ pub fn push_rollup_with(
     timeout: Option<Duration>,
     faults: &Option<Arc<Mutex<FaultState>>>,
 ) -> io::Result<u64> {
-    let stream = match timeout {
-        Some(t) => Stream::connect_timeout(addr, t)?,
-        None => Stream::connect(addr)?,
-    };
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    let mut conn = match faults {
-        Some(state) => PushConn::Faulty(FaultStream::new(stream, Arc::clone(state))),
-        None => PushConn::Plain(stream),
-    };
     let bytes = rollup.to_bytes();
-    conn.write_all(format!("rollup-push {}\n", bytes.len()).as_bytes())?;
-    conn.write_all(&bytes)?;
-    conn.flush()?;
-    conn.shutdown_write()?;
-    let mut reply = String::new();
-    BufReader::new(conn).read_to_string(&mut reply)?;
+    let head = format!("rollup-push {}\n", bytes.len());
+    let reply = request(addr, &head, Some(&bytes), timeout, faults)?;
+    let reply = String::from_utf8_lossy(&reply);
     let reply = reply.trim();
     match reply.strip_prefix("ok ") {
         Some(n) => n
@@ -366,30 +344,13 @@ pub fn push_rollup_with(
 /// `json` selects the machine-readable reply; `timeout` bounds connect
 /// and socket I/O so probing a hung collector fails fast.
 pub fn fetch_health_text(addr: &Addr, json: bool, timeout: Option<Duration>) -> io::Result<String> {
-    let mut stream = match timeout {
-        Some(t) => Stream::connect_timeout(addr, t)?,
-        None => Stream::connect(addr)?,
-    };
-    stream.set_read_timeout(timeout)?;
-    stream.set_write_timeout(timeout)?;
-    let request = if json { "health json\n" } else { "health\n" };
-    stream.write_all(request.as_bytes())?;
-    stream.flush()?;
-    stream.shutdown_write()?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_to_string(&mut reply)?;
-    Ok(reply)
+    request_text(addr, if json { "health json\n" } else { "health\n" }, timeout)
 }
 
 /// Fetch and parse the JSON health report.
 pub fn fetch_health(addr: &Addr, timeout: Option<Duration>) -> io::Result<HealthReport> {
     let text = fetch_health_text(addr, true, timeout)?;
     HealthReport::parse_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-/// Fetch and parse the JSON status.
-pub fn fetch_status(addr: &Addr) -> io::Result<CollectorStatus> {
-    fetch_status_timeout(addr, None)
 }
 
 /// Fetch and parse the JSON status, bounding connect and socket I/O.

@@ -35,7 +35,7 @@
 
 use crate::io::{DiskBudget, JournalFile, JournalIo, RealIo};
 use crate::metrics::JournalCounters;
-use critlock_trace::stream::{Frame, Handshake, RawFrame, StreamReader, StreamWriter};
+use critlock_trace::stream::{Handshake, RawFrame, StreamReader, StreamWriter};
 use std::fs::File;
 use std::io::{self, BufWriter, Read};
 use std::path::{Path, PathBuf};
@@ -234,28 +234,13 @@ impl SessionJournal {
         e
     }
 
-    /// Append one frame and flush it to the OS. The frame is durable
-    /// against a collector crash once this returns (durability against a
-    /// machine crash additionally needs [`SessionJournal::sync`]).
-    /// Fails with [`io::ErrorKind::StorageFull`] when the disk budget is
-    /// exhausted; the caller degrades the session to journal-less mode.
-    pub fn append(&mut self, frame: &Frame) -> io::Result<()> {
-        self.append_with(|w| w.write_frame(frame))
-    }
-
-    /// Append a received frame's wire bytes verbatim — byte-identical to
-    /// [`append`](Self::append) of the decoded frame, without the decode
-    /// and re-encode round trip.
+    /// Append a received frame's wire bytes verbatim and flush them to
+    /// the OS. The frame is durable against a collector crash once this
+    /// returns (durability against a machine crash additionally needs
+    /// [`SessionJournal::sync`]). Fails with
+    /// [`io::ErrorKind::StorageFull`] when the disk budget is exhausted;
+    /// the caller degrades the session to journal-less mode.
     pub fn append_raw(&mut self, raw: &RawFrame) -> io::Result<()> {
-        self.append_with(|w| w.write_raw_frame(raw))
-    }
-
-    fn append_with(
-        &mut self,
-        write: impl FnOnce(
-            &mut StreamWriter<BufWriter<Box<dyn JournalFile>>>,
-        ) -> critlock_trace::Result<()>,
-    ) -> io::Result<()> {
         if self.opts.budget.exhausted() {
             let e = DiskBudget::quota_error();
             if let Some(c) = &self.opts.counters {
@@ -264,7 +249,8 @@ impl SessionJournal {
             }
             return Err(e);
         }
-        let res = write(&mut self.writer).and_then(|()| self.writer.flush()).map_err(io_err);
+        let res =
+            self.writer.write_raw_frame(raw).and_then(|()| self.writer.flush()).map_err(io_err);
         match res {
             Ok(()) => {
                 self.frames += 1;
@@ -455,10 +441,10 @@ pub struct RecoveredSession {
 
 impl RecoveredSession {
     /// Stream every intact frame with global number `>= from` through
-    /// `apply`, in order, decoding one frame at a time — recovery memory
-    /// stays bounded by the largest single frame, not the journal size.
-    /// Returns the number of frames applied.
-    pub fn replay_tail(&self, from: u64, mut apply: impl FnMut(Frame)) -> io::Result<u64> {
+    /// `apply`, in order, reading one raw frame at a time — recovery
+    /// memory stays bounded by the largest single frame, not the journal
+    /// size. Returns the number of frames applied.
+    pub fn replay_tail(&self, from: u64, mut apply: impl FnMut(RawFrame)) -> io::Result<u64> {
         let mut applied = 0u64;
         for seg in &self.segments {
             if seg.end <= from {
@@ -468,7 +454,7 @@ impl RecoveredSession {
             let mut stream = StreamReader::new(file).map_err(io_err)?;
             let mut next = seg.start;
             while next < seg.end {
-                let frame = match stream.next_frame() {
+                let frame = match stream.next_frame_raw() {
                     Ok(Some(frame)) => frame,
                     // The intact range was measured by the scan; running
                     // short of it means the file changed underneath us.
@@ -502,7 +488,8 @@ impl<R: Read> Read for CountingReader<R> {
 }
 
 /// Scan one segment file: handshake, frame count, and the byte offset of
-/// the last intact frame. Frames are decoded and discarded one at a time.
+/// the last intact frame. Frames are validated and discarded one at a
+/// time, without materializing their events.
 fn scan_segment(path: &Path) -> io::Result<(Handshake, u64, u64)> {
     let file = File::open(path)?;
     // No BufReader here: read-ahead would inflate the byte count past
@@ -516,7 +503,7 @@ fn scan_segment(path: &Path) -> io::Result<(Handshake, u64, u64)> {
     let mut good_pos = pos.get();
     // A decode error here is a torn tail (crash mid-append), not a fatal
     // condition: everything before it was acked and is recovered.
-    while let Ok(Some(_)) = stream.next_frame() {
+    while let Ok(Some(_)) = stream.next_frame_raw() {
         frames += 1;
         good_pos = pos.get();
     }
@@ -672,6 +659,7 @@ pub fn recover_dir(dir: &Path) -> io::Result<(Vec<RecoveredSession>, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use critlock_trace::stream::{crc32, Frame};
     use critlock_trace::TraceMeta;
     use std::io::Write;
 
@@ -691,9 +679,13 @@ mod tests {
         ]
     }
 
+    fn raw(frame: &Frame) -> RawFrame {
+        RawFrame::encode(frame).unwrap()
+    }
+
     fn collect_frames(rec: &RecoveredSession) -> Vec<Frame> {
         let mut frames = Vec::new();
-        rec.replay_tail(0, |f| frames.push(f)).unwrap();
+        rec.replay_tail(0, |f| frames.push(f.decode().unwrap())).unwrap();
         frames
     }
 
@@ -703,7 +695,7 @@ mod tests {
         let mut journal =
             SessionJournal::create(&dir, b"tok", 0, JournalOptions::default()).unwrap();
         for frame in sample_frames() {
-            journal.append(&frame).unwrap();
+            journal.append_raw(&raw(&frame)).unwrap();
         }
         journal.sync().unwrap();
         assert_eq!(journal.frames(), 3);
@@ -719,27 +711,70 @@ mod tests {
     }
 
     #[test]
-    fn raw_append_is_byte_identical_to_owned_append() {
-        let dir_a = tmpdir("raw-append-owned");
-        let dir_b = tmpdir("raw-append-raw");
-        let mut owned =
-            SessionJournal::create(&dir_a, b"tok", 0, JournalOptions::default()).unwrap();
-        let mut raw = SessionJournal::create(&dir_b, b"tok", 0, JournalOptions::default()).unwrap();
+    fn append_raw_writes_the_producer_stream_verbatim() {
+        let dir = tmpdir("raw-append");
+        let mut journal =
+            SessionJournal::create(&dir, b"tok", 0, JournalOptions::default()).unwrap();
         for frame in sample_frames() {
-            owned.append(&frame).unwrap();
-            raw.append_raw(&RawFrame::encode(&frame).unwrap()).unwrap();
+            journal.append_raw(&raw(&frame)).unwrap();
         }
-        owned.sync().unwrap();
-        raw.sync().unwrap();
-        assert_eq!(raw.frames(), owned.frames());
-        let (owned_path, raw_path) = (owned.path(), raw.path());
-        drop(owned);
-        drop(raw);
-        let owned_bytes = std::fs::read(owned_path).unwrap();
-        let raw_bytes = std::fs::read(raw_path).unwrap();
-        assert_eq!(owned_bytes, raw_bytes);
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
+        journal.sync().unwrap();
+        assert_eq!(journal.frames(), 3);
+        let path = journal.path();
+        drop(journal);
+        // The segment is byte for byte the CLSM stream a producer sends
+        // for the same handshake and frames.
+        let mut expected = Vec::new();
+        let handshake = Handshake { token: b"tok".to_vec(), start_seq: 0 };
+        let mut w = StreamWriter::with_handshake(&mut expected, &handshake).unwrap();
+        for frame in sample_frames() {
+            w.write_frame(&frame).unwrap();
+        }
+        w.flush().unwrap();
+        assert_eq!(std::fs::read(path).unwrap(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crc_valid_malformed_tail_frame_is_cut_like_a_torn_one() {
+        // Payloads whose CRC is correct but whose grammar is not: an
+        // Events frame whose one event has opcode 99, and a Thread frame
+        // with name flag 7. Each is followed by a well-formed End frame
+        // the scan must not reach.
+        for (name, bad) in [("opcode", vec![4u8, 0, 1, 0, 99]), ("flag", vec![3u8, 0, 7])] {
+            let dir = tmpdir(&format!("malformed-{name}"));
+            let mut journal =
+                SessionJournal::create(&dir, b"bad", 0, JournalOptions::default()).unwrap();
+            let frames = sample_frames();
+            journal.append_raw(&raw(&frames[0])).unwrap();
+            journal.append_raw(&raw(&frames[1])).unwrap();
+            let path = journal.path();
+            drop(journal);
+            let good_len = std::fs::metadata(&path).unwrap().len();
+            {
+                let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+                for payload in [&bad[..], &[5u8]] {
+                    f.write_all(&[payload.len() as u8]).unwrap();
+                    f.write_all(payload).unwrap();
+                    f.write_all(&crc32(payload).to_le_bytes()).unwrap();
+                }
+            }
+
+            let (mut sessions, skipped) = recover_dir(&dir).unwrap();
+            assert_eq!(skipped, 0, "{name}");
+            let mut rec = sessions.pop().unwrap();
+            assert_eq!(rec.frames, 2, "{name}");
+            assert_eq!(rec.segments[0].bytes, good_len, "{name}");
+            assert_eq!(collect_frames(&rec), frames[..2].to_vec(), "{name}");
+            // Reopening cut the file at the last intact frame, and the
+            // journal appends from there.
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len, "{name}");
+            rec.journal.append_raw(&raw(&frames[2])).unwrap();
+            drop(rec);
+            let (sessions, _) = recover_dir(&dir).unwrap();
+            assert_eq!(collect_frames(&sessions[0]), frames, "{name}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -748,8 +783,8 @@ mod tests {
         let mut journal =
             SessionJournal::create(&dir, b"t2", 0, JournalOptions::default()).unwrap();
         let frames = sample_frames();
-        journal.append(&frames[0]).unwrap();
-        journal.append(&frames[1]).unwrap();
+        journal.append_raw(&raw(&frames[0])).unwrap();
+        journal.append_raw(&raw(&frames[1])).unwrap();
         let path = journal.path();
         drop(journal);
 
@@ -764,7 +799,7 @@ mod tests {
         assert_eq!(collect_frames(&rec), frames[..2].to_vec());
 
         // The reopened journal appends cleanly after the truncated tail.
-        rec.journal.append(&frames[2]).unwrap();
+        rec.journal.append_raw(&raw(&frames[2])).unwrap();
         drop(rec);
         let (sessions, _) = recover_dir(&dir).unwrap();
         assert_eq!(collect_frames(&sessions[0]), frames);
@@ -785,7 +820,7 @@ mod tests {
         let dir = tmpdir("skip");
         std::fs::write(dir.join(format!("bogus.{JOURNAL_EXT}")), b"not a stream").unwrap();
         let mut good = SessionJournal::create(&dir, b"ok", 0, JournalOptions::default()).unwrap();
-        good.append(&Frame::End).unwrap();
+        good.append_raw(&raw(&Frame::End)).unwrap();
         drop(good);
         let (sessions, skipped) = recover_dir(&dir).unwrap();
         assert_eq!(sessions.len(), 1);
@@ -801,7 +836,7 @@ mod tests {
         // Threshold of 1 byte: every append rotates, one frame per segment.
         let frames = sample_frames();
         for frame in &frames {
-            journal.append(frame).unwrap();
+            journal.append_raw(&raw(frame)).unwrap();
         }
         assert_eq!(journal.closed_segments(), 3);
         drop(journal);
@@ -828,7 +863,7 @@ mod tests {
         let stem = journal.stem().to_string();
         let frames = sample_frames();
         for frame in &frames {
-            journal.append(frame).unwrap();
+            journal.append_raw(&raw(frame)).unwrap();
         }
         drop(journal);
 
@@ -855,7 +890,7 @@ mod tests {
         let mut journal = SessionJournal::create(&dir, b"pr", 0, opts).unwrap();
         let stem = journal.stem().to_string();
         for frame in sample_frames() {
-            journal.append(&frame).unwrap();
+            journal.append_raw(&raw(&frame)).unwrap();
         }
         // Segments: 0 -> [0,1), 1 -> [1,2), 2 -> [2,3), 3 active (empty).
         let (deleted, _) = journal.prune_absorbed(2);
@@ -882,7 +917,7 @@ mod tests {
         let opts = JournalOptions { budget: budget.clone(), ..JournalOptions::default() };
         let mut journal = SessionJournal::create(&dir, b"q", 0, opts).unwrap();
         budget.seed(64);
-        let err = journal.append(&Frame::End).unwrap_err();
+        let err = journal.append_raw(&raw(&Frame::End)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -892,13 +927,13 @@ mod tests {
         let dir = tmpdir("align");
         let mut journal =
             SessionJournal::create(&dir, b"al", 0, JournalOptions::default()).unwrap();
-        journal.append(&sample_frames()[0]).unwrap();
+        journal.append_raw(&raw(&sample_frames()[0])).unwrap();
         journal.align_to(10).unwrap();
         assert_eq!(journal.frames(), 10);
         // The pre-alignment segment is fully absorbed by watermark 10.
         let (deleted, _) = journal.prune_absorbed(10);
         assert_eq!(deleted, 1);
-        journal.append(&Frame::End).unwrap();
+        journal.append_raw(&raw(&Frame::End)).unwrap();
         drop(journal);
 
         let (sessions, _) = recover_dir(&dir).unwrap();

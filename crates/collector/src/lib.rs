@@ -76,9 +76,8 @@ pub mod snapshot;
 
 pub use assembler::{repair, SessionAssembler};
 pub use client::{
-    fetch_health, fetch_health_text, fetch_metrics_text, fetch_rollup, fetch_status,
-    fetch_status_text, fetch_status_text_timeout, fetch_status_timeout, push, push_rollup,
-    push_rollup_with, push_with, PushOptions,
+    fetch_health, fetch_health_text, fetch_metrics_text, fetch_rollup, fetch_status_text_timeout,
+    fetch_status_timeout, push, push_rollup_with, push_with, PushOptions,
 };
 pub use faults::{FaultState, FaultStream};
 pub use health::{HealthClass, HealthReport};

@@ -6,8 +6,10 @@
 //!
 //! * one *ingest accept* thread hands each new connection to a dedicated
 //!   *session reader* thread, which performs the stream handshake
-//!   (magic + protocol version + resume token) and then decodes frames
-//!   into that session's bounded [`FrameQueue`];
+//!   (magic + protocol version + resume token) and then reads validated
+//!   raw frames ([`RawFrame`](critlock_trace::stream::RawFrame)) into the
+//!   session's journal and its bounded [`FrameQueue`] — the same frame
+//!   type recovery later replays from the journal;
 //! * sessions are partitioned across `N = config.shards` independent
 //!   **shards** — token sessions by a stable hash of the token, anonymous
 //!   sessions by id — each shard owning its own session map, journal
@@ -15,13 +17,20 @@
 //! * one *analysis* thread **per shard** periodically drains its shard's
 //!   queues into [`SessionAssembler`]s and republishes
 //!   [`SessionSnapshot`]s at the configured interval;
-//! * an optional *status* thread answers `status` / `status json`
-//!   one-shot requests, refreshing dirty sessions on demand so a request
-//!   issued after a push completed always sees the final analysis. The
-//!   same socket speaks the rollup protocol: `rollup` replies with the
-//!   collector's CLAG rollup (every session digested, merged with
-//!   anything child collectors pushed up), and `rollup-push LEN` + LEN
-//!   CLAG bytes merges a child's rollup into this collector;
+//! * an optional *status* thread answers `status` / `status json` and
+//!   `health` / `health json` one-shot requests, refreshing dirty
+//!   sessions on demand so a request issued after a push completed always
+//!   sees the final analysis. The same socket speaks the rollup protocol:
+//!   `rollup` replies with the collector's CLAG rollup (every session
+//!   digested, merged with anything child collectors pushed up), and
+//!   `rollup-push LEN` + LEN CLAG bytes merges a child's rollup into this
+//!   collector;
+//! * an optional *metrics* thread answers every request with the
+//!   Prometheus-style exposition. It runs the same accept-and-serve loop
+//!   as the status thread: one connection at a time, a bounded request
+//!   line, and a fixed read/write deadline per connection, so an idle or
+//!   stalled client delays the requests behind it by at most that
+//!   deadline instead of wedging the socket;
 //! * with [`CollectorConfig::forward`] set, a *forwarder* thread
 //!   periodically pushes this collector's rollup to a parent collector's
 //!   status socket, forming an aggregation tree.
@@ -1142,7 +1151,7 @@ pub fn start(config: CollectorConfig) -> io::Result<CollectorHandle> {
             );
         }
         asm.set_counters(metrics.events_in.clone(), metrics.events_budget_dropped.clone());
-        let replayed = rec.replay_tail(checkpointed, |frame| asm.apply(frame)).unwrap_or(0);
+        let replayed = rec.replay_tail(checkpointed, |frame| asm.apply_raw(&frame)).unwrap_or(0);
         metrics.journal_frames_recovered.add(replayed);
         let mut journal = Some(rec.journal);
         let mut journal_degraded = false;
@@ -1211,11 +1220,18 @@ pub fn start(config: CollectorConfig) -> io::Result<CollectorHandle> {
     }
     if let Some(listener) = status_listener {
         let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || status_loop(listener, shared)));
+        threads
+            .push(std::thread::spawn(move || control_loop(listener, shared, serve_status_request)));
     }
     if let Some(listener) = metrics_listener {
         let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || metrics_loop(listener, shared)));
+        threads.push(std::thread::spawn(move || {
+            control_loop(listener, shared, |_request, _body, shared| {
+                // Any request line (`metrics`, or an HTTP GET) gets the
+                // same plaintext exposition.
+                Ok(shared.render_metrics().into_bytes())
+            })
+        }));
     }
     if shared.config.forward.is_some() {
         let shared = Arc::clone(&shared);
@@ -1849,7 +1865,24 @@ fn refuse_request(mut stream: Stream) -> io::Result<()> {
     stream.flush()
 }
 
-fn status_loop(listener: Listener, shared: Arc<Shared>) {
+/// Read/write deadline on every accepted control-socket connection. The
+/// status and metrics sockets serve one connection at a time, so a client
+/// that connects and goes quiet holds up every request queued behind it
+/// for at most this long — well inside the 5 s default the CLI's control
+/// verbs wait for a reply.
+pub const CONTROL_IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Longest control request line, newline included. Every verb fits in a
+/// few dozen bytes; a longer line is answered `err` unread.
+pub const MAX_REQUEST_LINE: u64 = 256;
+
+/// Serves one control request: the trimmed request line, a reader over
+/// any bytes that follow it, and the collector state; returns the reply.
+type ServeFn = fn(&str, &mut BufReader<Stream>, &Shared) -> io::Result<Vec<u8>>;
+
+/// Accept loop shared by the status and metrics sockets: connections are
+/// served one at a time, each under [`CONTROL_IO_TIMEOUT`].
+fn control_loop(listener: Listener, shared: Arc<Shared>, serve: ServeFn) {
     loop {
         let (stream, _peer) = match listener.accept() {
             Ok(conn) => conn,
@@ -1859,34 +1892,25 @@ fn status_loop(listener: Listener, shared: Arc<Shared>) {
             let _ = refuse_request(stream);
             break;
         }
-        let _ = serve_status_request(stream, &shared);
+        let _ = serve_control(stream, &shared, serve);
     }
 }
 
-fn metrics_loop(listener: Listener, shared: Arc<Shared>) {
-    loop {
-        let (stream, _peer) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(_) => break,
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            let _ = refuse_request(stream);
-            break;
-        }
-        let _ = serve_metrics_request(stream, &shared);
-    }
-}
-
-/// Serve one scrape: read the request line (`metrics`, or an HTTP GET —
-/// the reply is the same plaintext exposition either way) and write the
-/// rendered metrics.
-fn serve_metrics_request(stream: Stream, shared: &Shared) -> io::Result<()> {
+/// Read one bounded request line under the per-connection deadline, hand
+/// it to `serve`, then write and flush the reply.
+fn serve_control(stream: Stream, shared: &Shared, serve: ServeFn) -> io::Result<()> {
+    stream.set_read_timeout(Some(CONTROL_IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(CONTROL_IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let reply = shared.render_metrics();
+    (&mut reader).take(MAX_REQUEST_LINE).read_line(&mut line)?;
+    let reply = if line.len() as u64 == MAX_REQUEST_LINE && !line.ends_with('\n') {
+        b"err request line too long\n".to_vec()
+    } else {
+        serve(line.trim(), &mut reader, shared)?
+    };
     let mut stream = reader.into_inner();
-    stream.write_all(reply.as_bytes())?;
+    stream.write_all(&reply)?;
     stream.flush()
 }
 
@@ -1904,31 +1928,14 @@ fn serve_metrics_request(stream: Stream, shared: &Shared) -> io::Result<()> {
 ///   retained state past [`CollectorConfig::max_rollup_sessions`]: the
 ///   parent keeps its last good rollup and the child re-sends next
 ///   tick.
-fn serve_status_request(stream: Stream, shared: &Shared) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let request = line.trim();
-
-    if request == "rollup" {
-        let reply = shared.rollup().to_bytes();
-        let mut stream = reader.into_inner();
-        stream.write_all(&reply)?;
-        return stream.flush();
-    }
-    if request == "health" || request == "health json" {
-        let report = shared.health();
-        let reply = if request == "health json" {
-            report.render_json().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-        } else {
-            report.render_text()
-        };
-        let mut stream = reader.into_inner();
-        stream.write_all(reply.as_bytes())?;
-        return stream.flush();
-    }
+fn serve_status_request(
+    request: &str,
+    body: &mut BufReader<Stream>,
+    shared: &Shared,
+) -> io::Result<Vec<u8>> {
+    let render_err = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
     if let Some(len) = request.strip_prefix("rollup-push ") {
-        let reply = match receive_rollup(&mut reader, len) {
+        let reply = match receive_rollup(body, len) {
             Ok(rollup) => {
                 let mut received = shared.received_rollup.lock().unwrap_or_else(|e| e.into_inner());
                 let new = rollup
@@ -1946,21 +1953,16 @@ fn serve_status_request(stream: Stream, shared: &Shared) -> io::Result<()> {
             }
             Err(reason) => format!("err {reason}\n"),
         };
-        let mut stream = reader.into_inner();
-        stream.write_all(reply.as_bytes())?;
-        return stream.flush();
+        return Ok(reply.into_bytes());
     }
-
-    let status = shared.status();
     let reply = match request {
-        "status json" => {
-            status.render_json().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-        }
-        _ => status.render_text(),
+        "rollup" => return Ok(shared.rollup().to_bytes()),
+        "health" => shared.health().render_text(),
+        "health json" => shared.health().render_json().map_err(render_err)?,
+        "status json" => shared.status().render_json().map_err(render_err)?,
+        _ => shared.status().render_text(),
     };
-    let mut stream = reader.into_inner();
-    stream.write_all(reply.as_bytes())?;
-    stream.flush()
+    Ok(reply.into_bytes())
 }
 
 /// Read and decode the body of a `rollup-push`: a declared length, then

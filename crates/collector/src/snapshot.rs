@@ -319,7 +319,7 @@ impl CollectorStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use critlock_trace::stream::Frame;
+    use critlock_trace::stream::{Frame, RawFrame};
     use critlock_trace::TraceBuilder;
 
     fn assembled() -> SessionAssembler {
@@ -336,8 +336,8 @@ mod tests {
         let mut reader =
             critlock_trace::stream::StreamReader::new(std::io::Cursor::new(buf)).unwrap();
         let mut asm = SessionAssembler::new();
-        while let Some(frame) = reader.next_frame().unwrap() {
-            asm.apply(frame);
+        while let Some(frame) = reader.next_frame_raw().unwrap() {
+            asm.apply_raw(&frame);
         }
         asm
     }
@@ -370,8 +370,8 @@ mod tests {
             critlock_trace::stream::StreamReader::new(std::io::Cursor::new(buf)).unwrap();
         let mut asm = SessionAssembler::new();
         asm.set_window(10);
-        while let Some(frame) = reader.next_frame().unwrap() {
-            asm.apply(frame);
+        while let Some(frame) = reader.next_frame_raw().unwrap() {
+            asm.apply_raw(&frame);
         }
         let snap = SessionSnapshot::compute(1, "test".into(), &mut asm, 0, 0, 0);
         assert!(!snap.windows.is_empty(), "ended session must close its windows");
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn partial_session_snapshot_is_well_formed() {
         let mut asm = SessionAssembler::new();
-        asm.apply(Frame::Start { meta: Default::default() });
+        asm.apply_raw(&RawFrame::encode(&Frame::Start { meta: Default::default() }).unwrap());
         // No threads/events at all: analysis of an empty trace must not
         // panic and reports zero everything.
         let snap = SessionSnapshot::compute(0, "p".into(), &mut asm, 0, 0, 0);

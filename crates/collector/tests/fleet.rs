@@ -5,8 +5,8 @@
 use critlock_aggregate::FleetReport;
 use critlock_analysis::{analyze, digest_report};
 use critlock_collector::{
-    fetch_metrics_text, fetch_rollup, push, push_rollup, push_with, start, Addr, CollectorConfig,
-    CollectorHandle, CollectorStatus, PushOptions,
+    fetch_metrics_text, fetch_rollup, push, push_rollup_with, push_with, start, Addr,
+    CollectorConfig, CollectorHandle, CollectorStatus, PushOptions,
 };
 use critlock_trace::rollup::{Rollup, SessionDigest};
 use critlock_trace::{RetryPolicy, Trace};
@@ -268,13 +268,13 @@ fn rollup_push_is_capped_and_reports_post_merge_count() {
     let mut two = Rollup::new();
     two.insert(digest("a"));
     two.insert(digest("b"));
-    assert_eq!(push_rollup(&status_addr, &two, timeout).unwrap(), 2);
+    assert_eq!(push_rollup_with(&status_addr, &two, timeout, &None).unwrap(), 2);
     // Re-pushing retained sessions at the cap is idempotent, not an error.
-    assert_eq!(push_rollup(&status_addr, &two, timeout).unwrap(), 2);
+    assert_eq!(push_rollup_with(&status_addr, &two, timeout, &None).unwrap(), 2);
 
     let mut three = two.clone();
     three.insert(digest("c"));
-    let err = push_rollup(&status_addr, &three, timeout).unwrap_err();
+    let err = push_rollup_with(&status_addr, &three, timeout, &None).unwrap_err();
     assert!(err.to_string().contains("rollup cap"), "unexpected error: {err}");
     // The rejected push left the last good state untouched.
     let retained = fetch_rollup(&status_addr, timeout).unwrap();

@@ -12,7 +12,7 @@ use critlock_collector::{
     push, push_with, start, Addr, CollectorConfig, CollectorHandle, CollectorStatus, PushOptions,
     SessionAssembler, Stream,
 };
-use critlock_trace::stream::{trace_frames, Handshake, StreamWriter};
+use critlock_trace::stream::{trace_frames, Handshake, RawFrame, StreamWriter};
 use critlock_trace::{FaultPlan, RetryPolicy, Trace, Ts};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -106,14 +106,15 @@ proptest! {
         cuts in prop::collection::vec(1usize..30, 0..10),
     ) {
         let trace = build_trace(threads, iters);
-        let frames = trace_frames(&trace);
+        let frames: Vec<RawFrame> =
+            trace_frames(&trace).iter().map(|f| RawFrame::encode(f).unwrap()).collect();
         let mut asm = SessionAssembler::new();
         asm.set_window(16);
         let mut i = 0;
         for deliver in cuts {
             let end = (i + deliver).min(frames.len());
             for frame in &frames[i..end] {
-                asm.apply(frame.clone());
+                asm.apply_raw(frame);
             }
             i = end;
             let live = asm.online_report();
@@ -121,7 +122,7 @@ proptest! {
             prop_assert_eq!(live, oracle, "mid-stream report diverged after {} frames", end);
         }
         for frame in &frames[i..] {
-            asm.apply(frame.clone());
+            asm.apply_raw(frame);
         }
         let live = asm.online_report();
         let oracle = online_analyze(asm.partial());

@@ -3,16 +3,17 @@
 //! under both policies, and handshake rejection.
 
 use critlock_analysis::{analyze, validate::check_trace};
+use critlock_collector::server::{CONTROL_IO_TIMEOUT, MAX_REQUEST_LINE};
 use critlock_collector::{
-    fetch_status, fetch_status_text, push, start, Addr, Backpressure, CollectorConfig,
-    CollectorHandle, CollectorStatus, Stream,
+    fetch_health, fetch_status_text_timeout, fetch_status_timeout, push, start, Addr, Backpressure,
+    CollectorConfig, CollectorHandle, CollectorStatus, HealthClass, Stream,
 };
 use critlock_instrument::{spawn, Session};
 use critlock_trace::stream::{Frame, StreamWriter};
 use critlock_trace::{Event, EventKind, ObjId, ObjInfo, ObjKind, ThreadId, Trace, TraceMeta};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_config() -> CollectorConfig {
     let mut config = CollectorConfig::new(Addr::parse("127.0.0.1:0").unwrap());
@@ -67,7 +68,7 @@ fn pushed_trace_snapshot_matches_offline_analyze_exactly() {
     wait_for(&handle, "pushed session to end", |s| s.sessions.len() == 1 && s.sessions[0].ended);
 
     // The acceptance criterion: live snapshot == `critlock analyze`.
-    let status = fetch_status(&status_addr).unwrap();
+    let status = fetch_status_timeout(&status_addr, None).unwrap();
     let snap = &status.sessions[0];
     let offline = analyze(&trace);
     assert_eq!(snap.report, offline);
@@ -76,7 +77,7 @@ fn pushed_trace_snapshot_matches_offline_analyze_exactly() {
     assert_eq!(snap.dropped_frames, 0);
 
     // Text endpoint carries the same ranking.
-    let text = fetch_status_text(&status_addr, false).unwrap();
+    let text = fetch_status_text_timeout(&status_addr, false, None).unwrap();
     assert!(text.contains("hot"), "status text:\n{text}");
     assert!(text.contains("[ended]"), "status text:\n{text}");
     shutdown(handle);
@@ -186,7 +187,7 @@ fn drop_backpressure_sheds_frames_and_is_observable() {
     let trace = big_trace();
     push(handle.ingest_addr(), &trace, None).unwrap();
 
-    let status = fetch_status(&status_addr).unwrap();
+    let status = fetch_status_timeout(&status_addr, None).unwrap();
     let snap = &status.sessions[0];
     assert!(snap.dropped_frames > 0, "expected drops, got {snap:?}");
     assert_eq!(snap.queue_high_water, 2);
@@ -214,7 +215,7 @@ fn block_backpressure_loses_nothing() {
         s.sessions.first().is_some_and(|snap| snap.ended)
     });
 
-    let status = fetch_status(&status_addr).unwrap();
+    let status = fetch_status_timeout(&status_addr, None).unwrap();
     let snap = &status.sessions[0];
     assert_eq!(snap.dropped_frames, 0);
     // Despite the 2-frame queue, analysis is still exact.
@@ -234,6 +235,45 @@ fn incompatible_handshake_is_rejected() {
     wait_for(&handle, "handshake rejection", |s| s.rejected_sessions == 1);
     let status = handle.status();
     assert_eq!(status.sessions_total, 0);
+    assert!(status.sessions.is_empty());
+    shutdown(handle);
+}
+
+#[test]
+fn idle_control_client_does_not_wedge_the_status_socket() {
+    let handle = start(test_config()).unwrap();
+    let status_addr = handle.status_addr().unwrap().clone();
+    // Connect and never send a byte: the single control handler is now
+    // waiting on this connection's request line.
+    let idle = Stream::connect(&status_addr).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    let report = fetch_health(&status_addr, Some(Duration::from_secs(30))).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(report.class, HealthClass::Ok);
+    assert!(
+        waited < CONTROL_IO_TIMEOUT + Duration::from_secs(2),
+        "health waited {waited:?} behind an idle client"
+    );
+    drop(idle);
+    shutdown(handle);
+}
+
+#[test]
+fn overlong_control_request_line_is_answered_err() {
+    let handle = start(test_config()).unwrap();
+    let status_addr = handle.status_addr().unwrap().clone();
+    let mut conn = Stream::connect(&status_addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // Exactly the cap and no newline: the handler consumes every byte
+    // sent, so the connection closes cleanly behind the reply.
+    conn.write_all(&vec![b's'; MAX_REQUEST_LINE as usize]).unwrap();
+    conn.flush().unwrap();
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).unwrap();
+    assert_eq!(reply, "err request line too long\n");
+    // The socket keeps serving well-formed requests.
+    let status = fetch_status_timeout(&status_addr, Some(Duration::from_secs(30))).unwrap();
     assert!(status.sessions.is_empty());
     shutdown(handle);
 }

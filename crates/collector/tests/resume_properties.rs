@@ -11,7 +11,7 @@
 //! quickly. The socket path is covered end-to-end by `tests/faults.rs`.
 
 use critlock_collector::SessionAssembler;
-use critlock_trace::stream::{trace_frames, write_trace, Frame};
+use critlock_trace::stream::{trace_frames, write_trace, RawFrame};
 use critlock_trace::Trace;
 use proptest::prelude::*;
 
@@ -33,7 +33,7 @@ fn build_trace(threads: usize, iters: usize) -> Trace {
 
 fn apply_connection(
     asm: &mut SessionAssembler,
-    frames: &[Frame],
+    frames: &[RawFrame],
     start: usize,
     end: usize,
     expected: &mut usize,
@@ -44,7 +44,7 @@ fn apply_connection(
             continue; // duplicate of an already-applied frame
         }
         assert_eq!(seq, *expected, "client must never leave a gap");
-        asm.apply(frame.clone());
+        asm.apply_raw(frame);
         *expected += 1;
     }
 }
@@ -63,13 +63,14 @@ proptest! {
         cuts in prop::collection::vec((0usize..40, 0usize..40, any::<bool>()), 0..8),
     ) {
         let trace = build_trace(threads, iters);
-        let frames = trace_frames(&trace);
+        let frames: Vec<RawFrame> =
+            trace_frames(&trace).iter().map(|f| RawFrame::encode(f).unwrap()).collect();
         let total = frames.len();
 
         // Reference: one connection, no faults.
         let mut reference = SessionAssembler::new();
         for frame in &frames {
-            reference.apply(frame.clone());
+            reference.apply_raw(frame);
         }
 
         // Faulty delivery: each cut ends a connection after `deliver`

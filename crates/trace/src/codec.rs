@@ -63,12 +63,20 @@ pub fn write_varint(out: &mut impl Write, mut v: u64) -> Result<()> {
 
 /// Read an unsigned LEB128 varint.
 pub fn read_varint(inp: &mut impl Read) -> Result<u64> {
+    let mut byte = [0u8; 1];
+    inp.read_exact(&mut byte)?;
+    continue_varint(byte[0], inp)
+}
+
+/// Finish a varint whose first byte the caller has already consumed
+/// (e.g. to tell a clean end of stream from a torn one), under the same
+/// overflow rules as [`read_varint`].
+#[inline]
+pub(crate) fn continue_varint(first: u8, inp: &mut impl Read) -> Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
+    let mut b = first;
     loop {
-        let mut byte = [0u8; 1];
-        inp.read_exact(&mut byte)?;
-        let b = byte[0];
         if shift >= 63 && b > 1 {
             return Err(TraceError::Decode("varint overflow".into()));
         }
@@ -80,6 +88,9 @@ pub fn read_varint(inp: &mut impl Read) -> Result<u64> {
         if shift > 63 {
             return Err(TraceError::Decode("varint too long".into()));
         }
+        let mut byte = [0u8; 1];
+        inp.read_exact(&mut byte)?;
+        b = byte[0];
     }
 }
 
@@ -534,9 +545,10 @@ fn check_trailer<'a>(buf: &'a [u8], rem: &'a [u8]) -> Result<&'a [u8]> {
 // The borrowed decode path: a validated window over an in-memory CLTR
 // buffer (an mmap'd file or a received network buffer) that yields
 // events straight off the wire bytes, without materializing an owned
-// `Vec<Event>` per thread first. The owned readers above remain the
-// compatibility path; [`RawTraceView::to_trace`] produces bit-identical
-// output (see the equivalence property tests).
+// `Vec<Event>` per thread first. The owned readers above stay as the
+// `io::Read` decoder and as the reference the equivalence property tests
+// hold [`RawTraceView::to_trace`] to, bit for bit. The CLSM frame
+// payloads (`stream.rs`) are decoded with these same slice primitives.
 //
 // All cursors below are plain sub-slices of the caller's buffer — the
 // module contains no `unsafe`; lifetimes tie every view to the backing
@@ -570,7 +582,7 @@ pub(crate) fn raw_varint(rem: &mut &[u8]) -> Result<u64> {
 }
 
 #[inline]
-fn raw_u8(rem: &mut &[u8]) -> Result<u8> {
+pub(crate) fn raw_u8(rem: &mut &[u8]) -> Result<u8> {
     let (&b, rest) =
         rem.split_first().ok_or_else(|| TraceError::Decode("unexpected end of input".into()))?;
     *rem = rest;
@@ -594,14 +606,14 @@ fn raw_take<'a>(rem: &mut &'a [u8], len: u64) -> Result<&'a [u8]> {
 
 /// Length-prefixed byte string as a borrowed slice.
 #[inline]
-fn raw_len_bytes<'a>(rem: &mut &'a [u8]) -> Result<&'a [u8]> {
+pub(crate) fn raw_len_bytes<'a>(rem: &mut &'a [u8]) -> Result<&'a [u8]> {
     let len = raw_varint(rem)?;
     raw_take(rem, len)
 }
 
 /// Length-prefixed UTF-8 string as a borrowed `&str`.
 #[inline]
-fn raw_str<'a>(rem: &mut &'a [u8]) -> Result<&'a str> {
+pub(crate) fn raw_str<'a>(rem: &mut &'a [u8]) -> Result<&'a str> {
     std::str::from_utf8(raw_len_bytes(rem)?).map_err(|e| TraceError::Decode(e.to_string()))
 }
 

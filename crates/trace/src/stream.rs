@@ -44,8 +44,8 @@
 //! history and a dropped frame never corrupts its successors.
 
 use crate::codec::{
-    kind_from_u8, kind_to_u8, raw_tid, raw_varint, read_bytes, read_event, read_string, read_tid,
-    read_varint, write_bytes, write_event, write_varint, RawEventIter,
+    continue_varint, kind_from_u8, kind_to_u8, raw_len_bytes, raw_str, raw_tid, raw_u8, raw_varint,
+    read_bytes, read_varint, write_bytes, write_event, write_varint, RawEventIter,
 };
 use crate::error::{Result, TraceError};
 use crate::event::Event;
@@ -133,16 +133,18 @@ pub enum Frame {
 
 /// A validated frame payload kept as wire bytes.
 ///
-/// The collector's hot receive path moves frames from socket to journal
-/// to assembler without re-encoding them and without materializing an
-/// owned [`Frame`] per hop: [`StreamReader::next_frame_raw`] CRC-checks
-/// and grammar-validates the payload once at receive time, and the
-/// resulting `RawFrame` can be journaled verbatim
-/// ([`StreamWriter::write_raw_frame`] — byte-identical to re-encoding,
-/// since [`encode_payload`] is canonical) and folded into a trace through
-/// the borrowed event iterator ([`RawFrame::events`]) instead of a
-/// `Vec<Event>`. [`RawFrame::decode`] recovers the owned frame for the
-/// compatibility path.
+/// This is the collector's only frame representation: frames move from
+/// socket to journal to queue to assembler, and back out of the journal
+/// on recovery scan and replay, without re-encoding and without an owned
+/// [`Frame`] per hop. [`StreamReader::next_frame_raw`] CRC-checks and
+/// grammar-validates the payload once at read time; the resulting
+/// `RawFrame` is journaled verbatim ([`StreamWriter::write_raw_frame`] —
+/// byte-identical to re-encoding, since [`encode_payload`] is canonical)
+/// and folded into a trace through the borrowed event iterator
+/// ([`RawFrame::events`]) instead of a `Vec<Event>`. Only the rare
+/// registration frames are decoded to an owned [`Frame`]
+/// ([`RawFrame::decode`]); producers build owned frames and encode them
+/// with [`RawFrame::encode`] or [`StreamWriter::write_frame`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFrame {
     payload: Vec<u8>,
@@ -177,8 +179,8 @@ impl RawFrame {
         &self.payload
     }
 
-    /// Decode to an owned [`Frame`] (the compatibility path). Cannot fail
-    /// beyond the validation already done at construction.
+    /// Decode to an owned [`Frame`]. Cannot fail beyond the validation
+    /// already done at construction.
     pub fn decode(&self) -> Result<Frame> {
         decode_payload(&self.payload)
     }
@@ -190,38 +192,45 @@ impl RawFrame {
         if self.frame_type() != 4 {
             return None;
         }
-        let mut rem = &self.payload[1..];
-        // Validated at construction: these reads cannot fail.
-        let tid = raw_tid(&mut rem).ok()?;
-        let count = raw_varint(&mut rem).ok()?;
-        Some((tid, RawEventIter::new(rem, count)))
+        // Validated at construction: the header read cannot fail.
+        events_body(&self.payload[1..]).ok()
+    }
+}
+
+/// Parse an `Events` body (the payload after its type byte): the target
+/// thread and a borrowed iterator over the declared events.
+fn events_body(mut rem: &[u8]) -> Result<(ThreadId, RawEventIter<'_>)> {
+    let tid = raw_tid(&mut rem)?;
+    let count = raw_varint(&mut rem)?;
+    if count > MAX_FRAME_LEN as u64 {
+        return Err(TraceError::Decode(format!("unreasonable event count {count}")));
+    }
+    Ok((tid, RawEventIter::new(rem, count)))
+}
+
+fn no_trailing_bytes(rem: &[u8]) -> Result<()> {
+    if rem.is_empty() {
+        Ok(())
+    } else {
+        Err(TraceError::Decode("trailing bytes in frame payload".into()))
     }
 }
 
 /// Check that `payload` is a well-formed frame payload without building
-/// the owned [`Frame`]. The hot `Events` type is scanned in place through
-/// [`RawEventIter`]; the rare registration types are validated by a full
-/// decode, which keeps error parity with [`decode_payload`] exact.
+/// the owned [`Frame`]. The hot `Events` type is scanned in place; the
+/// rare registration types are validated by a full decode. Both walk the
+/// one grammar [`decode_payload`] defines, so they accept, reject and
+/// word errors identically.
 fn validate_payload(payload: &[u8]) -> Result<()> {
-    match payload.first() {
-        Some(4) => {
-            let mut rem = &payload[1..];
-            raw_tid(&mut rem)?;
-            let count = raw_varint(&mut rem)?;
-            if count > MAX_FRAME_LEN as u64 {
-                return Err(TraceError::Decode(format!("unreasonable event count {count}")));
-            }
-            let mut iter = RawEventIter::new(rem, count);
+    match payload.split_first() {
+        Some((4, body)) => {
+            let (_, mut iter) = events_body(body)?;
             for ev in iter.by_ref() {
                 ev?;
             }
-            if !iter.remaining_bytes().is_empty() {
-                return Err(TraceError::Decode("trailing bytes in frame payload".into()));
-            }
-            Ok(())
+            no_trailing_bytes(iter.remaining_bytes())
         }
-        Some(_) => decode_payload(payload).map(|_| ()),
-        None => Err(TraceError::Decode("empty frame payload".into())),
+        _ => decode_payload(payload).map(|_| ()),
     }
 }
 
@@ -287,67 +296,54 @@ fn encode_payload(frame: &Frame) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Decode one frame payload to an owned [`Frame`]: the CLSM payload
+/// grammar, read off a slice cursor with the same primitives as the
+/// borrowed CLTR view ([`RawEventIter`] for event records).
 fn decode_payload(payload: &[u8]) -> Result<Frame> {
-    // Decode through a plain slice cursor: `Read for &[u8]` advances the
-    // slice in place, so the sub-byte reads inline to pointer bumps with
-    // no position bookkeeping.
-    let mut inp: &[u8] = payload;
-    let mut ty = [0u8; 1];
-    inp.read_exact(&mut ty)?;
-    let frame = match ty[0] {
-        0 => {
-            let meta: TraceMeta = serde_json::from_slice(&read_bytes(&mut inp)?)?;
-            Frame::Start { meta }
+    let (&ty, mut rem) =
+        payload.split_first().ok_or_else(|| TraceError::Decode("empty frame payload".into()))?;
+    let frame = match ty {
+        0 => Frame::Start { meta: serde_json::from_slice(raw_len_bytes(&mut rem)?)? },
+        1 => {
+            let key = raw_str(&mut rem)?.to_owned();
+            Frame::Param { key, value: raw_str(&mut rem)?.to_owned() }
         }
-        1 => Frame::Param { key: read_string(&mut inp)?, value: read_string(&mut inp)? },
         2 => {
-            let first_id = read_varint(&mut inp)?;
-            let first_id = u32::try_from(first_id)
+            let first_id = u32::try_from(raw_varint(&mut rem)?)
                 .map_err(|_| TraceError::Decode("object id overflow".into()))?;
-            let count = read_varint(&mut inp)? as usize;
-            if count > MAX_FRAME_LEN {
+            let count = raw_varint(&mut rem)?;
+            if count > MAX_FRAME_LEN as u64 {
                 return Err(TraceError::Decode(format!("unreasonable object count {count}")));
             }
-            let mut objects = Vec::with_capacity(count.min(1 << 16));
+            let mut objects = Vec::with_capacity((count as usize).min(1 << 16));
             for _ in 0..count {
-                let mut k = [0u8; 1];
-                inp.read_exact(&mut k)?;
-                objects.push(ObjInfo { kind: kind_from_u8(k[0])?, name: read_string(&mut inp)? });
+                let kind = kind_from_u8(raw_u8(&mut rem)?)?;
+                objects.push(ObjInfo { kind, name: raw_str(&mut rem)?.to_owned() });
             }
             Frame::Objects { first_id, objects }
         }
         3 => {
-            let tid = read_tid(&mut inp)?;
-            let mut has_name = [0u8; 1];
-            inp.read_exact(&mut has_name)?;
-            let name = match has_name[0] {
+            let tid = raw_tid(&mut rem)?;
+            let name = match raw_u8(&mut rem)? {
                 0 => None,
-                1 => Some(read_string(&mut inp)?),
+                1 => Some(raw_str(&mut rem)?.to_owned()),
                 other => return Err(TraceError::Decode(format!("bad name flag {other}"))),
             };
             Frame::Thread { tid, name }
         }
         4 => {
-            let tid = read_tid(&mut inp)?;
-            let count = read_varint(&mut inp)? as usize;
-            if count > MAX_FRAME_LEN {
-                return Err(TraceError::Decode(format!("unreasonable event count {count}")));
+            let (tid, mut iter) = events_body(rem)?;
+            let mut events = Vec::with_capacity((iter.remaining_events() as usize).min(1 << 16));
+            for ev in iter.by_ref() {
+                events.push(ev?.event());
             }
-            let mut events = Vec::with_capacity(count.min(1 << 16));
-            let mut prev = 0u64;
-            for _ in 0..count {
-                let ev = read_event(&mut inp, prev)?;
-                prev = ev.ts;
-                events.push(ev);
-            }
+            rem = iter.remaining_bytes();
             Frame::Events { tid, events }
         }
         5 => Frame::End,
         other => return Err(TraceError::Decode(format!("bad frame type {other}"))),
     };
-    if !inp.is_empty() {
-        return Err(TraceError::Decode("trailing bytes in frame payload".into()));
-    }
+    no_trailing_bytes(rem)?;
     Ok(frame)
 }
 
@@ -546,12 +542,7 @@ impl<R: Read> StreamReader<R> {
                     Err(e) => return Err(e.into()),
                 }
             }
-            if first[0] & 0x80 == 0 {
-                first[0] as u64
-            } else {
-                let rest = read_varint(&mut self.inp)?;
-                (first[0] & 0x7f) as u64 | (rest << 7)
-            }
+            continue_varint(first[0], &mut self.inp)?
         };
         let len = usize::try_from(len).unwrap_or(usize::MAX);
         if len > MAX_FRAME_LEN {
@@ -935,6 +926,48 @@ mod tests {
             drain_owned(buf.clone()).unwrap_err().to_string(),
             drain_raw(buf).unwrap_err().to_string()
         );
+    }
+
+    #[test]
+    fn truncated_payloads_fail_as_decode_errors_on_both_paths() {
+        // Every proper prefix of every frame payload is rejected by the
+        // owned decode and the raw validation with the same error, and
+        // that error is a grammar error, not a transport one.
+        for frame in trace_frames(&sample()) {
+            let payload = RawFrame::encode(&frame).unwrap().payload;
+            for cut in 0..payload.len() {
+                let owned = decode_payload(&payload[..cut]).unwrap_err();
+                let raw = validate_payload(&payload[..cut]).unwrap_err();
+                assert!(matches!(owned, TraceError::Decode(_)), "{frame:?} cut {cut}: {owned}");
+                assert_eq!(owned.to_string(), raw.to_string(), "{frame:?} cut {cut}");
+            }
+        }
+        let bad_flag = [3u8, 0, 7];
+        assert_eq!(
+            decode_payload(&bad_flag).unwrap_err().to_string(),
+            "malformed trace: bad name flag 7"
+        );
+    }
+
+    #[test]
+    fn overlong_length_prefix_is_a_varint_overflow() {
+        // 0x83 followed by a 10-byte varint for 1 << 63: eleven prefix
+        // bytes whose value does not fit in 64 bits. Shifting the tail
+        // left by 7 and dropping the high bit would wrap the length to 3
+        // and silently accept the 3-byte Param payload behind it.
+        let payload = [1u8, 0, 0];
+        let mut buf = Vec::new();
+        StreamWriter::new(&mut buf).unwrap();
+        buf.push(0x83);
+        buf.extend_from_slice(&[0x80; 9]);
+        buf.push(0x01);
+        buf.extend_from_slice(&payload);
+        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let owned = StreamReader::new(Cursor::new(buf.clone())).unwrap().next_frame();
+        let raw = StreamReader::new(Cursor::new(buf)).unwrap().next_frame_raw();
+        for err in [owned.unwrap_err(), raw.unwrap_err()] {
+            assert!(err.to_string().contains("varint overflow"), "unexpected error: {err}");
+        }
     }
 
     #[test]
