@@ -21,10 +21,21 @@
 //! folded into the permanent frontier in global `(ts, tid, arrival)`
 //! order once no thread can still contribute an earlier timestamp (the
 //! *fold bound*: the minimum last-ingested timestamp over live threads).
-//! Events above the bound stay pending and are folded ephemerally — into
-//! a clone of the small frontier — when a report is requested, so every
-//! [`OnlineState::report`] is exactly the report a from-scratch
-//! [`online_analyze`] of all ingested events would produce.
+//! Events above the bound stay pending: a speculative fold, a clone of
+//! the permanent frontier, runs ahead over their complete timestamp
+//! groups, and a report folds the final, still-open group into a
+//! throwaway copy. So every [`OnlineState::report`] is exactly the report
+//! a from-scratch [`online_analyze`] of all ingested events would
+//! produce.
+//!
+//! Each timestamp group is folded once on the common path. A report
+//! advances the permanent fold first; when the speculative fold already
+//! covers a prefix of the groups now below the bound, its state *is* the
+//! permanent fold advanced that far, so it is adopted rather than
+//! re-folded, and only the rest is folded. An ended session's first
+//! report therefore folds every event exactly once. Only while a sparse
+//! thread pins the bound below the speculative coverage do the groups
+//! that pass the bound fold a second time, into the permanent frontier.
 //!
 //! The fold order assumes per-thread timestamps never step backwards
 //! across the fold bound. When they do (frame loss, a thread announced
@@ -164,6 +175,8 @@ impl FoldState {
     /// group share the timestamp, so no running time accrues inside a
     /// group and the two-sweep split is exact.
     fn fold_group(&mut self, group: &[(Ts, ThreadId, u64, EventKind)]) {
+        #[cfg(test)]
+        tests::GROUP_EVENTS.with(|n| n.set(n.get() + group.len() as u64));
         let ts = group[0].0;
         // Sweep 1: accrue running time up to `ts` for every thread in the
         // group (attributed to its innermost held lock), then publish the
@@ -359,6 +372,13 @@ impl FoldState {
     }
 }
 
+/// Fold sorted `events` into `fold` one timestamp group at a time.
+fn fold_groups(fold: &mut FoldState, events: &[(Ts, ThreadId, u64, EventKind)]) {
+    for group in events.chunk_by(|a, b| a.0 == b.0) {
+        fold.fold_group(group);
+    }
+}
+
 /// Per-thread ingestion bookkeeping, separate from the folded frontier:
 /// the fold bound derives from what has *arrived*, not what has folded.
 #[derive(Debug, Clone, Copy, Default)]
@@ -534,16 +554,22 @@ impl OnlineState {
         Some(bound)
     }
 
-    /// Bring the folds up to date with everything ingested: sort the
-    /// newly arrived tail, extend (or rebuild) the speculative fold to
-    /// cover all of `pending`, and advance the permanent frontier past
-    /// every timestamp group strictly below the fold bound. Afterwards
-    /// `pending` is fully sorted and the spec covers it entirely, so
-    /// extracting from it yields the exact one-shot report.
+    /// Bring the folds up to date with everything ingested, folding each
+    /// timestamp group once on the common path. The permanent frontier
+    /// goes first: it advances past every timestamp group strictly below
+    /// the fold bound, adopting the speculative fold's state when that
+    /// already covers a prefix of those groups (so they are not folded a
+    /// second time), and the safe groups leave `pending`. The speculative
+    /// fold then extends over the complete groups that remain, so
+    /// afterwards `pending` is fully sorted and only its final, still-open
+    /// timestamp group lies beyond the speculative coverage.
     fn advance_folds(&mut self) {
         let covered = self.spec.as_ref().map_or(0, |s| s.covered);
         debug_assert!(covered <= self.pending.len());
-        self.pending[covered..].sort_unstable_by_key(|&(ts, tid, arrival, _)| (ts, tid, arrival));
+        // A stable sort finds the per-thread runs an arrival batch is made
+        // of; the arrival number makes every key unique, so the order is
+        // the same an unstable sort would give.
+        self.pending[covered..].sort_by_key(|&(ts, tid, arrival, _)| (ts, tid, arrival));
         // Can the spec absorb the new tail? Only if every new event lands
         // strictly above its high-water mark — otherwise a new event could
         // belong to a timestamp group the spec has already folded. Because
@@ -556,91 +582,74 @@ impl OnlineState {
         };
         if !keep {
             self.spec = None;
-            self.pending.sort_unstable_by_key(|&(ts, tid, arrival, _)| (ts, tid, arrival));
+            self.pending.sort_by_key(|&(ts, tid, arrival, _)| (ts, tid, arrival));
         }
         // `pending` is now globally sorted: with a surviving spec, the
         // covered prefix and the new tail are each sorted and every tail
-        // timestamp is at least every covered one (strictly above the
-        // folded part).
-        if self.pending.is_empty() {
+        // timestamp is strictly above every covered one.
+
+        // Permanent frontier: the timestamp groups no live thread can
+        // still precede.
+        let safe = match self.fold_bound() {
+            Some(bound) if !self.stale => self.pending.partition_point(|&(ts, _, _, _)| ts < bound),
+            _ => 0,
+        };
+        if safe > 0 {
+            // The spec equals the permanent fold plus the covered prefix.
+            // When that prefix lies inside the safe groups, the spec *is*
+            // the permanent fold advanced that far; otherwise the spec is
+            // kept and the safe groups fold into the permanent frontier.
+            let from = match self.spec.take() {
+                Some(spec) if spec.covered <= safe => {
+                    self.fold = spec.fold;
+                    spec.covered
+                }
+                Some(mut spec) => {
+                    spec.covered -= safe;
+                    self.spec = Some(spec);
+                    0
+                }
+                None => 0,
+            };
+            fold_groups(&mut self.fold, &self.pending[from..safe]);
+            self.watermark = Some(self.pending[safe - 1].0);
+            self.folded_events += safe as u64;
+            self.pending.drain(..safe);
+        }
+
+        // Speculative fold: the complete timestamp groups past the bound,
+        // leaving the final group open (future arrivals may still join it).
+        let Some(&(last_ts, ..)) = self.pending.last() else { return };
+        let open = self.pending.partition_point(|&(ts, _, _, _)| ts < last_ts);
+        if self.spec.is_none() && open == 0 {
             return;
         }
-        // Fold complete timestamp groups into the spec, leaving the final
-        // group open (future arrivals may still join it).
-        let last_ts = self.pending[self.pending.len() - 1].0;
-        let open = self.pending.partition_point(|&(ts, _, _, _)| ts < last_ts);
         let spec = self.spec.get_or_insert_with(|| SpecFold {
             fold: self.fold.clone(),
             covered: 0,
             max_ts: None,
         });
-        let mut i = spec.covered;
-        while i < open {
-            let ts = self.pending[i].0;
-            let mut end = i;
-            while end < open && self.pending[end].0 == ts {
-                end += 1;
-            }
-            spec.fold.fold_group(&self.pending[i..end]);
-            i = end;
-        }
         if open > spec.covered {
+            fold_groups(&mut spec.fold, &self.pending[spec.covered..open]);
             spec.max_ts = Some(self.pending[open - 1].0);
             spec.covered = open;
-        }
-        // Permanent frontier: fold the timestamp groups no live thread can
-        // still precede, then drop them from `pending`. The spec keeps
-        // covering the remainder — it equals the permanent fold plus the
-        // retained covered prefix either way.
-        if self.stale {
-            return;
-        }
-        let Some(bound) = self.fold_bound() else { return };
-        let safe = self.pending.partition_point(|&(ts, _, _, _)| ts < bound);
-        if safe == 0 {
-            return;
-        }
-        let mut i = 0;
-        while i < safe {
-            let ts = self.pending[i].0;
-            let mut end = i;
-            while end < safe && self.pending[end].0 == ts {
-                end += 1;
-            }
-            self.fold.fold_group(&self.pending[i..end]);
-            i = end;
-        }
-        self.watermark = Some(self.pending[safe - 1].0);
-        self.folded_events += safe as u64;
-        self.pending.drain(..safe);
-        let drop_spec = match &mut self.spec {
-            // `safe > covered` means the bound cleared the final group, so
-            // the whole buffer folded permanently (`safe == len`); the
-            // permanent fold is complete and the spec is obsolete.
-            Some(s) if safe > s.covered => true,
-            Some(s) => {
-                s.covered -= safe;
-                false
-            }
-            None => false,
-        };
-        if drop_spec {
-            self.spec = None;
         }
     }
 
     fn report_inner(&mut self, names: &Trace, horizon: bool) -> OnlineReport {
         self.advance_folds();
-        match &self.spec {
-            // The uncovered tail is exactly the final timestamp group;
-            // fold it into a throwaway clone of the (small) spec frontier.
-            Some(spec) if spec.covered < self.pending.len() => {
-                let mut tmp = spec.fold.clone();
-                tmp.fold_group(&self.pending[spec.covered..]);
-                tmp.extract(names, horizon)
-            }
-            Some(spec) => spec.fold.extract(names, horizon),
-            None => self.fold.extract(names, horizon),
+        let (fold, covered) = match &self.spec {
+            Some(spec) => (&spec.fold, spec.covered),
+            None => (&self.fold, 0),
+        };
+        // The uncovered tail is exactly the final timestamp group; fold it
+        // into a throwaway clone of the (small) frontier.
+        if covered < self.pending.len() {
+            let mut tmp = fold.clone();
+            tmp.fold_group(&self.pending[covered..]);
+            tmp.extract(names, horizon)
+        } else {
+            fold.extract(names, horizon)
         }
     }
 
@@ -675,6 +684,13 @@ mod tests {
     use super::*;
     use crate::metrics::analyze;
     use critlock_trace::TraceBuilder;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Events handed to `fold_group` on this thread, ephemeral folds
+        /// included: the fold-once test counts fold work with it.
+        pub(super) static GROUP_EVENTS: Cell<u64> = const { Cell::new(0) };
+    }
 
     #[test]
     fn matches_offline_on_lock_chain() {
@@ -887,6 +903,37 @@ mod tests {
         let mut rebuilt = OnlineState::rebuild(&t);
         assert!(!rebuilt.is_stale());
         assert_eq!(rebuilt.report(&t), online_analyze(&t));
+    }
+
+    /// A complete session ingested in one batch folds every event exactly
+    /// once on its first report: the permanent fold runs first and the
+    /// fold bound (every thread exited) clears the whole buffer, so no
+    /// speculative fold is built only to be discarded.
+    #[test]
+    fn complete_batch_folds_each_event_once() {
+        let mut b = TraceBuilder::new("online-fold-once");
+        let l = b.lock("L");
+        let main = b.thread("main", 0);
+        let w = b.thread("w", 0);
+        b.on(w).work(2).cs(l, 3).exit();
+        b.on(main).create(w).cs_blocked(l, 5, 2).join(w, 7).work(1).exit();
+        let t = b.build().unwrap();
+        let one_shot = online_analyze(&t);
+
+        let mut st = OnlineState::new();
+        for stream in &t.threads {
+            st.declare(stream.tid);
+        }
+        for stream in &t.threads {
+            st.ingest(stream.tid, &stream.events);
+        }
+        let before = GROUP_EVENTS.with(Cell::get);
+        assert_eq!(st.report(&t), one_shot);
+        assert_eq!(st.events_folded(), st.events_ingested());
+        assert_eq!(GROUP_EVENTS.with(Cell::get) - before, st.events_ingested());
+        // A second report has nothing left to fold.
+        assert_eq!(st.report_at_horizon(&t), one_shot);
+        assert_eq!(GROUP_EVENTS.with(Cell::get) - before, st.events_ingested());
     }
 
     /// The horizon report tracks live progress before any thread exits.

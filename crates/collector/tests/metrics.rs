@@ -87,6 +87,18 @@ fn live_snapshot_matches_offline_analyze_with_metrics_enabled() {
     assert!(text.contains("critlock_snapshot_refresh_ns_bucket"), "scrape:\n{text}");
 
     let snap = handle.metrics_snapshot();
+    // The refreshes behind the status request say where their time went.
+    for stage in ["repair", "analyze", "online"] {
+        let labels = format!("{{stage=\"{stage}\"}}");
+        let h = snap
+            .histogram(&format!("critlock_snapshot_stage_ns{labels}"))
+            .unwrap_or_else(|| panic!("missing stage {stage}"));
+        assert!(h.count > 0, "stage {stage} never observed");
+        assert!(
+            text.contains(&format!("critlock_snapshot_stage_ns_count{labels}")),
+            "scrape:\n{text}"
+        );
+    }
     assert!(snap.counter("critlock_frames_in_total").unwrap() > 0);
     assert!(snap.counter("critlock_frames_assembled_total").unwrap() > 0);
     assert!(snap.counter("critlock_bytes_in_total").unwrap() > 0);
