@@ -10,6 +10,7 @@
 //! the same trace under the same deadline may degrade at different
 //! points on different runs.
 
+use crate::anomaly::Anomaly;
 use crate::event::Event;
 use crate::trace::Trace;
 use std::time::{Duration, Instant};
@@ -93,13 +94,28 @@ impl Budget {
         (trace.num_events() as u64) * per_event + (trace.num_threads() as u64) * per_thread
     }
 
-    /// How many events of a trace with `total` events may be kept, or
-    /// `None` if the event budget allows all of them.
-    pub fn event_allowance(&self, total: u64) -> Option<u64> {
-        match self.max_events {
-            Some(cap) if total > cap => Some(cap),
-            _ => None,
+    /// The most events the event cap and the byte cap together allow.
+    pub fn event_cap(&self) -> u64 {
+        let per_event = std::mem::size_of::<Event>() as u64;
+        let by_bytes = self.max_bytes.map_or(u64::MAX, |b| b / per_event);
+        self.max_events.unwrap_or(u64::MAX).min(by_bytes)
+    }
+
+    /// One anomaly for each of the event and byte caps that `total` events
+    /// exceed.
+    pub fn event_truncations(&self, total: u64) -> Vec<Anomaly> {
+        let per_event = std::mem::size_of::<Event>() as u64;
+        let mut out = Vec::new();
+        if let Some(cap) = self.max_events.filter(|&cap| total > cap) {
+            out.push(Anomaly::BudgetEventsTruncated { kept: cap, dropped: total - cap });
         }
+        if let Some(limit) = self.max_bytes.filter(|&b| total > b / per_event) {
+            out.push(Anomaly::BudgetBytesTruncated {
+                limit,
+                needed: total.saturating_mul(per_event),
+            });
+        }
+        out
     }
 
     /// How many threads of a trace with `total` streams may be kept, or
@@ -122,7 +138,8 @@ mod tests {
         assert!(b.is_unlimited());
         assert!(!b.deadline_expired());
         assert!(b.allows_input_bytes(u64::MAX));
-        assert_eq!(b.event_allowance(1_000_000), None);
+        assert_eq!(b.event_cap(), u64::MAX);
+        assert_eq!(b.event_truncations(1_000_000), Vec::new());
         assert_eq!(b.thread_allowance(64), None);
     }
 
@@ -130,8 +147,16 @@ mod tests {
     fn caps_trigger_only_past_the_limit() {
         let b = Budget::unlimited().with_max_events(10).with_max_threads(2).with_max_bytes(100);
         assert!(!b.is_unlimited());
-        assert_eq!(b.event_allowance(10), None);
-        assert_eq!(b.event_allowance(11), Some(10));
+        let per_event = std::mem::size_of::<Event>() as u64;
+        assert_eq!(b.event_cap(), 100 / per_event);
+        let events_only = Budget::unlimited().with_max_events(10);
+        assert_eq!(events_only.event_cap(), 10);
+        assert_eq!(events_only.event_truncations(10), Vec::new());
+        assert_eq!(
+            events_only.event_truncations(11),
+            vec![Anomaly::BudgetEventsTruncated { kept: 10, dropped: 1 }]
+        );
+        assert!(matches!(b.event_truncations(11)[..], [_, Anomaly::BudgetBytesTruncated { .. }]));
         assert_eq!(b.thread_allowance(2), None);
         assert_eq!(b.thread_allowance(3), Some(2));
         assert!(b.allows_input_bytes(100));

@@ -177,26 +177,9 @@ pub fn salvage_trace(trace: &Trace, budget: &Budget) -> Salvaged {
     // the resident-byte cap.
     let total_events: u64 =
         trace.threads[..kept_threads].iter().map(|s| s.events.len() as u64).sum();
-    let mut allowance = u64::MAX;
-    if let Some(cap) = budget.event_allowance(total_events) {
-        allowance = cap;
-        report
-            .anomalies
-            .push(Anomaly::BudgetEventsTruncated { kept: cap, dropped: total_events - cap });
-    }
-    if let Some(max_bytes) = budget.max_bytes {
-        let per_event = std::mem::size_of::<Event>() as u64;
-        let byte_cap = max_bytes / per_event.max(1);
-        if total_events > byte_cap {
-            allowance = allowance.min(byte_cap);
-            report.anomalies.push(Anomaly::BudgetBytesTruncated {
-                limit: max_bytes,
-                needed: total_events.saturating_mul(per_event),
-            });
-        }
-    }
+    report.anomalies.extend(budget.event_truncations(total_events));
 
-    let mut remaining = allowance;
+    let mut remaining = budget.event_cap();
     let mut deadline_hit = false;
     for (pos, stream) in trace.threads.iter().take(kept_threads).enumerate() {
         if !deadline_hit && budget.deadline_expired() {
@@ -245,23 +228,18 @@ pub fn load_timed(
 ) -> Result<Salvaged> {
     let decode_started = std::time::Instant::now();
     let buf = std::fs::read(&path)?;
-    if buf.len() >= 4 && &buf[..4] == b"CLTR" {
-        let (trace, decode_anomalies) = crate::codec::read_trace_bytes_salvage(&buf, budget)?;
-        observe("decode", decode_started.elapsed());
-        let salvage_started = std::time::Instant::now();
-        let mut s = salvage_trace(&trace, budget);
-        s.report.absorb_decode_anomalies(decode_anomalies);
-        s.report.finalize();
-        observe("salvage", salvage_started.elapsed());
-        Ok(s)
+    let (trace, decode_anomalies) = if buf.starts_with(b"CLTR") {
+        crate::codec::read_trace_bytes_salvage(&buf, budget)?
     } else {
-        let trace = crate::jsonl::read_trace(&mut &buf[..])?;
-        observe("decode", decode_started.elapsed());
-        let salvage_started = std::time::Instant::now();
-        let s = salvage_trace(&trace, budget);
-        observe("salvage", salvage_started.elapsed());
-        Ok(s)
-    }
+        (crate::jsonl::read_trace(&mut &buf[..])?, Vec::new())
+    };
+    observe("decode", decode_started.elapsed());
+    let salvage_started = std::time::Instant::now();
+    let mut s = salvage_trace(&trace, budget);
+    s.report.absorb_decode_anomalies(decode_anomalies);
+    s.report.finalize();
+    observe("salvage", salvage_started.elapsed());
+    Ok(s)
 }
 
 struct StreamStats {
