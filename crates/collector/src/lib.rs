@@ -15,7 +15,8 @@
 //! Architecture (one module per stage):
 //!
 //! * [`net`] — `unix:/path` / `host:port` address handling and the socket
-//!   abstraction;
+//!   abstraction (re-exported from `critlock-trace`, where the producer
+//!   that writes to it lives);
 //! * [`queue`] — bounded per-session frame queues with configurable
 //!   backpressure ([`Backpressure::Block`] stalls the producer through
 //!   the transport; [`Backpressure::Drop`] sheds frames and counts them);
@@ -25,8 +26,9 @@
 //!   document, in text and JSON;
 //! * [`server`] — the daemon: accept loops, session reader threads, the
 //!   incremental analysis loop, the status endpoint;
-//! * [`client`] — push/status helpers used by the CLI and tests, with
-//!   resumable reconnect ([`client::push_with`]);
+//! * [`client`] — push/status helpers used by the CLI and tests;
+//!   [`client::push_with`] feeds a recorded trace to the resumable
+//!   `critlock_trace::producer::Producer`;
 //! * [`journal`] — crash-safe, segmented per-session write-ahead
 //!   journals and startup recovery;
 //! * [`checkpoint`] — durable per-session checkpoints (tmp+fsync+rename)
@@ -39,9 +41,10 @@
 //! * [`metrics`] — collector-wide observability counters, gauges and
 //!   latency histograms (`critlock-obs`), served Prometheus-style by the
 //!   `--metrics` endpoint;
-//! * [`faults`] — the deterministic fault-injection wrapper applying
-//!   `critlock_trace::FaultPlan`s to the client transport (and, via
-//!   `CollectorConfig::forward_fault_plan`, to the rollup-push wire);
+//! * [`faults`] — fault plans and the deterministic fault-injection
+//!   wrapper applying them to the client transport (and, via
+//!   `CollectorConfig::forward_fault_plan`, to the rollup-push wire),
+//!   re-exported from `critlock-trace`;
 //! * [`outbox`] — the durable forward spool a failed rollup push falls
 //!   back to, re-forwarded after a restart;
 //! * [`health`] — the ok/degraded/unhealthy classification served for
@@ -63,12 +66,10 @@
 pub mod assembler;
 pub mod checkpoint;
 pub mod client;
-pub mod faults;
 pub mod health;
 pub mod io;
 pub mod journal;
 pub mod metrics;
-pub mod net;
 pub mod outbox;
 pub mod queue;
 pub mod server;
@@ -79,12 +80,12 @@ pub use client::{
     fetch_health, fetch_health_text, fetch_metrics_text, fetch_rollup, fetch_status_text_timeout,
     fetch_status_timeout, push, push_rollup_with, push_with, PushOptions,
 };
-pub use faults::{FaultState, FaultStream};
+pub use critlock_trace::faults::{self, FaultState, FaultStream};
+pub use critlock_trace::net::{self, Addr, Listener, Stream};
 pub use health::{HealthClass, HealthReport};
 pub use io::{DiskBudget, DiskFaultPlan, FaultyIo, JournalIo, RealIo};
 pub use journal::{recover_dir, JournalOptions, RecoveredSession, SessionJournal};
 pub use metrics::{CollectorMetrics, JournalCounters, ShardMetrics};
-pub use net::{Addr, Listener, Stream};
 pub use queue::{Backpressure, FrameQueue};
 pub use server::{start, CollectorConfig, CollectorHandle};
 pub use snapshot::{

@@ -40,7 +40,6 @@
 mod barrier;
 mod condvar;
 mod mutex;
-mod resume;
 mod rwlock;
 mod session;
 mod thread;

@@ -84,6 +84,17 @@ impl From<io::Error> for TraceError {
     }
 }
 
+/// Transport code reports a trace error as an I/O error: an I/O error
+/// is unwrapped, anything else becomes `InvalidData`.
+impl From<TraceError> for io::Error {
+    fn from(e: TraceError) -> Self {
+        match e {
+            TraceError::Io(e) => e,
+            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
 impl From<serde_json::Error> for TraceError {
     fn from(e: serde_json::Error) -> Self {
         TraceError::Json(e)

@@ -7,10 +7,17 @@
 //! byte sequence every time, which is what makes a reported failure
 //! reproducible from the command line (`critlock push --fault-plan ...`).
 //!
-//! This module is pure data — parsing, rendering and the built-in plan
-//! catalog. The wrapper that actually applies a plan to a socket lives in
-//! the collector crate (`critlock_collector::faults`), next to the
-//! transport it wraps.
+//! Besides the plan data — parsing, rendering and the built-in plan
+//! catalog — the module holds the injector that applies a plan:
+//! [`FaultStream`] wraps a [`net::Stream`](crate::net::Stream) and
+//! applies the plan to its *write* path. The byte counter and the
+//! fired-state of each one-shot action live in a shared [`FaultState`],
+//! so a plan keeps its position across the reconnects it provokes —
+//! `cut@900;cut@2500` means "kill the first connection at byte 900 of the
+//! push, kill the retry at cumulative byte 2500". Faults are injected
+//! client-side (`critlock push --fault-plan`, the forwarder's
+//! `--forward-fault-plan` and the robustness tests) so the collector
+//! under test runs the same code it runs in production.
 //!
 //! ## Plan syntax
 //!
@@ -29,8 +36,12 @@
 //! and, once the producer has reconnected and streamed past byte 9000
 //! (cumulative), corrupts one frame.
 
+use crate::net::{Addr, Stream};
 use std::fmt;
+use std::io::{self, Read, Write};
 use std::str::FromStr;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// The bit mask `flip@N` applies to the targeted byte.
 pub const FLIP_MASK: u8 = 0x40;
@@ -251,9 +262,182 @@ impl FromStr for FaultPlan {
     }
 }
 
+// ------------------------------------------------------------ injector
+
+/// Shared, mutable progress of a fault plan across reconnects.
+#[derive(Debug)]
+pub struct FaultState {
+    actions: Vec<(FaultAction, bool)>, // (action, fired)
+    written: u64,
+}
+
+impl FaultState {
+    /// Start tracking a plan from byte zero.
+    pub fn new(plan: &FaultPlan) -> Arc<Mutex<FaultState>> {
+        Arc::new(Mutex::new(FaultState {
+            actions: plan.actions.iter().map(|a| (*a, false)).collect(),
+            written: 0,
+        }))
+    }
+
+    /// Total bytes the client believes it has written so far.
+    pub fn written(&self) -> u64 {
+        self.written
+    }
+
+    /// The next un-fired one-shot action due at or before `upto`.
+    fn due(&mut self, upto: u64) -> Option<FaultAction> {
+        for (action, fired) in &mut self.actions {
+            if *fired {
+                continue;
+            }
+            if matches!(action, FaultAction::SlowLoris { .. }) {
+                // Persistent: never "fires once"; handled by the writer.
+                continue;
+            }
+            if action.offset() <= upto {
+                *fired = true;
+                return Some(*action);
+            }
+        }
+        None
+    }
+
+    /// The slow-loris pacing in effect at offset `at`, if any.
+    fn loris(&self, at: u64) -> Option<(usize, u64)> {
+        self.actions.iter().find_map(|(action, _)| match action {
+            FaultAction::SlowLoris { at: start, chunk, millis } if *start <= at => {
+                Some((*chunk as usize, *millis))
+            }
+            _ => None,
+        })
+    }
+}
+
+/// A client connection: a [`Stream`] that injects scripted faults on
+/// its write path when it carries a [`FaultState`], and is the bare
+/// stream when it does not.
+pub struct FaultStream {
+    inner: Stream,
+    state: Option<Arc<Mutex<FaultState>>>,
+}
+
+impl FaultStream {
+    /// Connect to `addr`, bounding the connect and every later read and
+    /// write by `timeout` (`None` blocks indefinitely). The shared
+    /// `faults` state, if any, carries the plan's progress from earlier
+    /// connections of the same producer.
+    pub fn connect(
+        addr: &Addr,
+        timeout: Option<Duration>,
+        faults: Option<&Arc<Mutex<FaultState>>>,
+    ) -> io::Result<FaultStream> {
+        let inner = match timeout {
+            Some(timeout) => Stream::connect_timeout(addr, timeout)?,
+            None => Stream::connect(addr)?,
+        };
+        inner.set_read_timeout(timeout)?;
+        inner.set_write_timeout(timeout)?;
+        Ok(FaultStream { inner, state: faults.cloned() })
+    }
+
+    /// Shut down the write half (delegates to the wrapped stream).
+    pub fn shutdown_write(&self) -> io::Result<()> {
+        self.inner.shutdown_write()
+    }
+}
+
+fn broken(action: &FaultAction) -> io::Error {
+    io::Error::new(io::ErrorKind::BrokenPipe, format!("injected fault: {action}"))
+}
+
+impl Write for FaultStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let Some(state) = &self.state else { return self.inner.write(buf) };
+        if buf.is_empty() {
+            return Ok(0);
+        }
+        let (pos, action, loris) = {
+            let mut state = state.lock().unwrap_or_else(|e| e.into_inner());
+            let pos = state.written;
+            let action = state.due(pos + buf.len() as u64 - 1);
+            let loris = state.loris(pos);
+            (pos, action, loris)
+        };
+
+        if let Some(action) = action {
+            let boundary = action.offset().saturating_sub(pos) as usize;
+            match action {
+                FaultAction::Cut { .. } => {
+                    // Deliver bytes up to the cut point, then kill the
+                    // connection in both directions.
+                    if boundary > 0 {
+                        self.inner.write_all(&buf[..boundary])?;
+                        let _ = self.inner.flush();
+                        state.lock().unwrap_or_else(|e| e.into_inner()).written += boundary as u64;
+                    }
+                    let _ = self.inner.shutdown_both();
+                    return Err(broken(&action));
+                }
+                FaultAction::Truncate { drop, .. } => {
+                    // Deliver the prefix, silently swallow `drop` bytes
+                    // (claiming success so the producer keeps encoding),
+                    // then sever the wire: the peer sees a torn frame.
+                    if boundary > 0 {
+                        self.inner.write_all(&buf[..boundary])?;
+                        let _ = self.inner.flush();
+                    }
+                    let swallowed = (buf.len() - boundary).min(drop as usize).max(1);
+                    let _ = self.inner.shutdown_both();
+                    state.lock().unwrap_or_else(|e| e.into_inner()).written +=
+                        (boundary + swallowed) as u64;
+                    return Ok(boundary + swallowed);
+                }
+                FaultAction::BitFlip { at } => {
+                    let mut corrupted = buf.to_vec();
+                    let idx = (at - pos) as usize;
+                    corrupted[idx] ^= FLIP_MASK;
+                    self.inner.write_all(&corrupted)?;
+                    state.lock().unwrap_or_else(|e| e.into_inner()).written += buf.len() as u64;
+                    return Ok(buf.len());
+                }
+                FaultAction::Stall { millis, .. } => {
+                    std::thread::sleep(Duration::from_millis(millis));
+                    // Fall through to a normal write below.
+                }
+                FaultAction::SlowLoris { .. } => unreachable!("loris is not one-shot"),
+            }
+        }
+
+        if let Some((chunk, millis)) = loris {
+            let n = buf.len().min(chunk.max(1));
+            std::thread::sleep(Duration::from_millis(millis));
+            self.inner.write_all(&buf[..n])?;
+            self.inner.flush()?;
+            state.lock().unwrap_or_else(|e| e.into_inner()).written += n as u64;
+            return Ok(n);
+        }
+
+        self.inner.write_all(buf)?;
+        state.lock().unwrap_or_else(|e| e.into_inner()).written += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl Read for FaultStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Listener;
 
     #[test]
     fn builtin_catalog_is_complete() {
@@ -304,5 +488,82 @@ mod tests {
         ] {
             assert!(bad.parse::<FaultPlan>().is_err(), "spec `{bad}` must be rejected");
         }
+    }
+    /// A client connection carrying `state`, and the server's end.
+    fn pair(state: &Arc<Mutex<FaultState>>) -> (FaultStream, Stream) {
+        let listener = Listener::bind(&Addr::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = listener.bound_addr().unwrap();
+        let client = FaultStream::connect(&addr, None, Some(state)).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn cut_delivers_prefix_then_errors() {
+        let state = FaultState::new(&"cut@4".parse().unwrap());
+        let (mut faulty, mut server) = pair(&state);
+        let err = faulty.write_all(b"0123456789").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        let mut got = Vec::new();
+        server.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"0123");
+        assert_eq!(state.lock().unwrap().written(), 4);
+    }
+
+    #[test]
+    fn truncate_swallows_bytes_and_severs() {
+        let state = FaultState::new(&"trunc@2+3".parse().unwrap());
+        let (mut faulty, mut server) = pair(&state);
+        // The producer sees a successful (short) write, never an error.
+        let n = faulty.write(b"abcdef").unwrap();
+        assert!((3..=5).contains(&n), "prefix 2 + swallowed 1..=3, got {n}");
+        let mut got = Vec::new();
+        server.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"ab");
+    }
+
+    #[test]
+    fn bitflip_corrupts_exactly_one_byte() {
+        let state = FaultState::new(&"flip@3".parse().unwrap());
+        let (mut faulty, mut server) = pair(&state);
+        faulty.write_all(b"hello world").unwrap();
+        faulty.shutdown_write().unwrap();
+        let mut got = Vec::new();
+        server.read_to_end(&mut got).unwrap();
+        assert_eq!(got.len(), 11);
+        assert_eq!(got[3], b'l' ^ FLIP_MASK);
+        let mut fixed = got.clone();
+        fixed[3] ^= FLIP_MASK;
+        assert_eq!(fixed, b"hello world");
+    }
+
+    #[test]
+    fn state_persists_across_connections() {
+        let state = FaultState::new(&"cut@4;cut@10".parse().unwrap());
+
+        let (mut faulty, mut server) = pair(&state);
+        faulty.write_all(b"0123456789").unwrap_err();
+        let mut got = Vec::new();
+        server.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"0123");
+
+        // "Reconnect": the second connection resumes the byte count, so
+        // the second cut fires 6 bytes in (cumulative offset 10).
+        let (mut faulty, mut server) = pair(&state);
+        faulty.write_all(b"456789abcd").unwrap_err();
+        let mut got = Vec::new();
+        server.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"456789");
+    }
+
+    #[test]
+    fn slow_loris_paces_but_delivers_everything() {
+        let state = FaultState::new(&"loris@0:3:1".parse().unwrap());
+        let (mut faulty, mut server) = pair(&state);
+        faulty.write_all(b"the whole message arrives").unwrap();
+        faulty.shutdown_write().unwrap();
+        let mut got = Vec::new();
+        server.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"the whole message arrives");
     }
 }
