@@ -15,9 +15,9 @@
 //! checkpoint write is never fatal: the journal remains authoritative
 //! and recovery falls back to replaying more of it.
 
-use crate::io::{DiskBudget, JournalIo};
+use crate::io::{file_len, replace_file, DiskBudget, JournalIo};
 use critlock_trace::checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointDoc};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// File extension of session checkpoints.
@@ -25,15 +25,15 @@ pub const CHECKPOINT_EXT: &str = "clck";
 
 /// The checkpoint path for a session stem: `<dir>/<stem>.clck`.
 pub fn checkpoint_path(dir: &Path, stem: &str) -> PathBuf {
-    dir.join(format!("{stem}.{CHECKPOINT_EXT}"))
+    dir.join(file_name(stem))
+}
+
+fn file_name(stem: &str) -> String {
+    format!("{stem}.{CHECKPOINT_EXT}")
 }
 
 fn tmp_path(dir: &Path, stem: &str) -> PathBuf {
-    dir.join(format!("{stem}.{CHECKPOINT_EXT}.tmp"))
-}
-
-fn file_len(path: &Path) -> u64 {
-    std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
+    crate::io::tmp_path(dir, &file_name(stem))
 }
 
 /// Write `doc` durably as `<dir>/<stem>.clck` via tmp+fsync+rename.
@@ -48,27 +48,11 @@ pub fn write_checkpoint(
     stem: &str,
     doc: &CheckpointDoc,
 ) -> io::Result<()> {
-    let bytes = encode_checkpoint(doc)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let tmp = tmp_path(dir, stem);
-    // A leftover tmp from an earlier failed attempt is about to be
-    // truncated; return its bytes first so the accounting can't drift up
-    // across repeated failures.
-    budget.release(file_len(&tmp));
+    let bytes = encode_checkpoint(doc)?;
     if budget.would_exceed(bytes.len() as u64) {
         return Err(DiskBudget::quota_error());
     }
-    let final_path = checkpoint_path(dir, stem);
-    let mut file = budget.track(io.create(&tmp)?, None);
-    file.write_all(&bytes)?;
-    file.flush()?;
-    file.sync_data()?;
-    drop(file);
-    let old_len = file_len(&final_path);
-    io.rename(&tmp, &final_path)?;
-    io.sync_dir(dir)?;
-    budget.release(old_len);
-    Ok(())
+    replace_file(io, budget, dir, &file_name(stem), &bytes)
 }
 
 /// Load and CRC-validate a session's checkpoint. Returns `None` when the

@@ -19,7 +19,7 @@
 use std::fmt::Debug;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -190,6 +190,46 @@ impl JournalFile for TrackedFile {
     fn sync_data(&mut self) -> io::Result<()> {
         self.inner.sync_data()
     }
+}
+
+/// The size of the file at `path`, 0 when it does not exist.
+pub(crate) fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
+}
+
+/// The temporary file [`replace_file`] writes `dir/name` through.
+pub(crate) fn tmp_path(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{name}.tmp"))
+}
+
+/// Atomically replace `dir/name` with `bytes`: write the tmp file,
+/// `fdatasync` it, rename it over the target and fsync `dir`. The rename
+/// is the commit point, so a crash at any byte leaves the old file or
+/// the new one, never a torn one. `budget` is charged the new bytes and
+/// gets back those of the replaced file and of a stale tmp file left by
+/// an earlier failed attempt.
+pub(crate) fn replace_file(
+    io: &dyn JournalIo,
+    budget: &DiskBudget,
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+) -> io::Result<()> {
+    let tmp = tmp_path(dir, name);
+    // The stale tmp is about to be truncated; return its bytes first so
+    // the accounting can't drift up across repeated failures.
+    budget.release(file_len(&tmp));
+    let mut file = budget.track(io.create(&tmp)?, None);
+    file.write_all(bytes)?;
+    file.flush()?;
+    file.sync_data()?;
+    drop(file);
+    let path = dir.join(name);
+    let old_len = file_len(&path);
+    io.rename(&tmp, &path)?;
+    io.sync_dir(dir)?;
+    budget.release(old_len);
+    Ok(())
 }
 
 /// A deterministic disk-fault schedule for [`FaultyIo`]. Counters are

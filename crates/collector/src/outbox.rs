@@ -19,9 +19,9 @@
 //! suite can fault the spool path and a quota-bounded collector accounts
 //! for its spool bytes.
 
-use crate::io::{DiskBudget, JournalIo, RealIo};
+use crate::io::{file_len, replace_file, DiskBudget, JournalIo, RealIo};
 use critlock_trace::rollup::Rollup;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// File name of the spool inside the journal directory.
@@ -30,14 +30,6 @@ pub const OUTBOX_FILE: &str = "outbox.clag";
 /// Where the spool lives under `dir`.
 pub fn outbox_path(dir: &Path) -> PathBuf {
     dir.join(OUTBOX_FILE)
-}
-
-fn tmp_path(dir: &Path) -> PathBuf {
-    dir.join("outbox.clag.tmp")
-}
-
-fn file_len(path: &Path) -> u64 {
-    std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
 }
 
 /// Atomically replace the spool with `rollup`: write-to-temp, fsync,
@@ -56,22 +48,7 @@ pub fn save_with(
     dir: &Path,
     rollup: &Rollup,
 ) -> io::Result<()> {
-    let bytes = rollup.to_bytes();
-    let tmp = tmp_path(dir);
-    // A leftover tmp from an earlier failed attempt is about to be
-    // truncated; return its bytes so accounting can't drift upward.
-    budget.release(file_len(&tmp));
-    let mut file = budget.track(io.create(&tmp)?, None);
-    file.write_all(&bytes)?;
-    file.flush()?;
-    file.sync_data()?;
-    drop(file);
-    let final_path = outbox_path(dir);
-    let old_len = file_len(&final_path);
-    io.rename(&tmp, &final_path)?;
-    io.sync_dir(dir)?;
-    budget.release(old_len);
-    Ok(())
+    replace_file(io, budget, dir, OUTBOX_FILE, &rollup.to_bytes())
 }
 
 /// Load the spooled rollup, if a spool exists and decodes. A spool that
