@@ -228,11 +228,11 @@ fn clip_stream(stream: &ThreadStream, lo: Ts, hi: Ts) -> ThreadStream {
 ///   consecutive indices ending at `next_index - 1`;
 /// * a stored digest equals `analyze(&clip(trace, lo, hi))` of the final
 ///   trace — guaranteed by only closing below the watermark, and restored
-///   by [`recompute`] when the caller detects a late event below
-///   [`closed_lo`] (the ring itself cannot see ingestion order).
+///   by [`recompute`] when the caller detects a late event at or below
+///   [`closed_hi`] (the ring itself cannot see ingestion order).
 ///
 /// [`recompute`]: WindowRing::recompute
-/// [`closed_lo`]: WindowRing::closed_lo
+/// [`closed_hi`]: WindowRing::closed_hi
 #[derive(Debug, Clone)]
 pub struct WindowRing {
     width: Ts,
@@ -275,12 +275,14 @@ impl WindowRing {
         self.next_index
     }
 
-    /// First timestamp not yet covered by a closed window: an event below
-    /// this lands inside closed territory and requires [`recompute`].
+    /// The trailing edge of the last closed window, `None` before any
+    /// window closes. Window bounds are inclusive, as in [`clip`], so an
+    /// event at or below this edge lands inside closed territory and
+    /// requires [`recompute`].
     ///
     /// [`recompute`]: WindowRing::recompute
-    pub fn closed_lo(&self) -> Ts {
-        self.next_index.saturating_mul(self.width)
+    pub fn closed_hi(&self) -> Option<Ts> {
+        (self.next_index > 0).then(|| self.next_index.saturating_mul(self.width))
     }
 
     /// The closed windows currently retained, oldest first.
@@ -326,8 +328,8 @@ impl WindowRing {
     }
 
     /// Re-derive every retained digest from the (re-assembled) trace —
-    /// the full-rebuild fallback for out-of-order arrivals that landed
-    /// below [`closed_lo`](WindowRing::closed_lo).
+    /// the full-rebuild fallback for out-of-order arrivals that landed at
+    /// or below [`closed_hi`](WindowRing::closed_hi).
     pub fn recompute(&mut self, trace: &Trace) {
         let indices: Vec<u64> = self.windows.iter().map(|w| w.index).collect();
         self.windows.clear();
@@ -519,6 +521,7 @@ mod tests {
         let mut ring = WindowRing::new(10, 8);
         ring.advance(&t, 0);
         assert_eq!(ring.closed().count(), 0);
+        assert_eq!(ring.closed_hi(), None);
 
         // Watermark 21 guarantees no future event at ts <= 20, so windows
         // [0,10] and [10,20] close; [20,30] stays open (an event at 21
@@ -526,7 +529,7 @@ mod tests {
         ring.advance(&t, 21);
         let idx: Vec<u64> = ring.closed().map(|w| w.index).collect();
         assert_eq!(idx, [0, 1]);
-        assert_eq!(ring.closed_lo(), 20);
+        assert_eq!(ring.closed_hi(), Some(20));
 
         // Watermark past everything: closes through the last event.
         ring.advance(&t, Ts::MAX);
@@ -558,7 +561,7 @@ mod tests {
         // 0..=100 close; only the last 4 are retained (and only those
         // were ever analyzed).
         assert_eq!(idx, [97, 98, 99, 100]);
-        assert_eq!(ring.closed_lo(), 1010);
+        assert_eq!(ring.closed_hi(), Some(1010));
         assert_eq!(ring.latest().unwrap().index, 100);
     }
 
