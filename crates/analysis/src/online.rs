@@ -14,19 +14,22 @@
 //!
 //! ## Incremental maintenance
 //!
-//! [`OnlineState`] is the persistent form of the pass: a live collector
-//! feeds it each frame's events as they arrive ([`OnlineState::ingest`])
-//! and the per-thread frontier values advance by only the new events —
-//! O(delta), not O(session history). Events are buffered per arrival and
-//! folded into the permanent frontier in global `(ts, tid, arrival)`
-//! order once no thread can still contribute an earlier timestamp (the
-//! *fold bound*: the minimum last-ingested timestamp over live threads).
-//! Events above the bound stay pending: a speculative fold, a clone of
-//! the permanent frontier, runs ahead over their complete timestamp
-//! groups, and a report folds the final, still-open group into a
-//! throwaway copy. So every [`OnlineState::report`] is exactly the report
-//! a from-scratch [`online_analyze`] of all ingested events would
-//! produce.
+//! [`OnlineState`] is the persistent form of the pass: a caller feeds it
+//! each batch of a thread's events as they arrive
+//! ([`OnlineState::ingest`]) and the per-thread frontier values advance
+//! by only the new events — O(delta), not O(session history).
+//! `bench_analyze`'s `live` section replays a session this way; the
+//! collector does not run the pass, and its live snapshots serve the
+//! offline analysis of the repaired partial trace instead. Events are
+//! buffered per arrival and folded into the permanent frontier in global
+//! `(ts, tid, arrival)` order once no thread can still contribute an
+//! earlier timestamp (the *fold bound*: the minimum last-ingested
+//! timestamp over live threads). Events above the bound stay pending: a
+//! speculative fold, a clone of the permanent frontier, runs ahead over
+//! their complete timestamp groups, and a report folds the final,
+//! still-open group into a throwaway copy. So every
+//! [`OnlineState::report`] is exactly the report a from-scratch
+//! [`online_analyze`] of all ingested events would produce.
 //!
 //! Each timestamp group is folded once on the common path. A report
 //! advances the permanent fold first; when the speculative fold already
@@ -121,7 +124,6 @@ struct ThreadState {
     val: PathVal,
     last_ts: Ts,
     running: bool,
-    exited: bool,
     held: Vec<ObjId>,
 }
 
@@ -240,7 +242,6 @@ impl FoldState {
             EventKind::ThreadExit => {
                 let t = &mut self.threads[ti];
                 t.running = false;
-                t.exited = true;
                 self.exit_vals.insert(tid, t.val.clone());
                 let better = match &self.final_candidate {
                     Some((len, _, _)) => t.val.len >= *len,
@@ -324,28 +325,11 @@ impl FoldState {
         }
     }
 
-    /// Turn the folded state into the report. `horizon` additionally
-    /// considers still-live threads' frontier values as critical-path
-    /// candidates (the estimate a live status line wants); without it,
-    /// only exited threads terminate the path — exactly what a one-shot
-    /// [`online_analyze`] of the same events computes.
-    fn extract(&self, names: &Trace, horizon: bool) -> OnlineReport {
-        let mut candidate = self.final_candidate.clone();
-        if horizon {
-            for (ti, t) in self.threads.iter().enumerate() {
-                if t.exited || (t.last_ts == 0 && t.val.len == 0 && !t.running) {
-                    continue;
-                }
-                let better = match &candidate {
-                    Some((len, _, _)) => t.val.len >= *len,
-                    None => true,
-                };
-                if better {
-                    candidate = Some((t.val.len, ThreadId(ti as u32), t.val.clone()));
-                }
-            }
-        }
-        let (cp_length, final_thread, profile) = match candidate {
+    /// Turn the folded state into the report: only exited threads
+    /// terminate the path, exactly as a one-shot [`online_analyze`] of the
+    /// same events computes.
+    fn extract(&self, names: &Trace) -> OnlineReport {
+        let (cp_length, final_thread, profile) = match self.final_candidate.clone() {
             Some((len, tid, val)) => {
                 (len, Some(tid), Arc::try_unwrap(val.profile).unwrap_or_else(|rc| (*rc).clone()))
             }
@@ -525,18 +509,6 @@ impl OnlineState {
         state
     }
 
-    /// The conservative frontier watermark: a timestamp no future event
-    /// can precede, assuming per-thread arrival order (the same
-    /// assumption whose violation flags the state stale). `Ts::MAX` once
-    /// every declared thread has exited; `None` while a declared thread
-    /// has produced nothing yet, or when the state is stale.
-    pub fn frontier_bound(&self) -> Option<Ts> {
-        if self.stale {
-            return None;
-        }
-        self.fold_bound()
-    }
-
     /// The highest timestamp no live thread can still precede: events in
     /// groups strictly below it are safe to fold permanently. `None`
     /// while a declared thread has produced nothing yet (its first event
@@ -636,7 +608,11 @@ impl OnlineState {
         }
     }
 
-    fn report_inner(&mut self, names: &Trace, horizon: bool) -> OnlineReport {
+    /// The exact forward-pass report over everything ingested: identical
+    /// to [`online_analyze`] of the concatenated trace. `names` supplies
+    /// the object name table (typically the trace the events came from).
+    /// Not meaningful on a stale state — rebuild first.
+    pub fn report(&mut self, names: &Trace) -> OnlineReport {
         self.advance_folds();
         let (fold, covered) = match &self.spec {
             Some(spec) => (&spec.fold, spec.covered),
@@ -647,28 +623,10 @@ impl OnlineState {
         if covered < self.pending.len() {
             let mut tmp = fold.clone();
             tmp.fold_group(&self.pending[covered..]);
-            tmp.extract(names, horizon)
+            tmp.extract(names)
         } else {
-            fold.extract(names, horizon)
+            fold.extract(names)
         }
-    }
-
-    /// The exact forward-pass report over everything ingested: identical
-    /// to [`online_analyze`] of the concatenated trace. `names` supplies
-    /// the object name table (typically the trace the events came from).
-    /// Not meaningful on a stale state — rebuild first.
-    pub fn report(&mut self, names: &Trace) -> OnlineReport {
-        self.report_inner(names, false)
-    }
-
-    /// Like [`report`], but still-live threads' frontier values also
-    /// terminate the candidate path — the estimate a live status display
-    /// wants mid-session, and identical to [`report`] once every thread
-    /// has exited.
-    ///
-    /// [`report`]: OnlineState::report
-    pub fn report_at_horizon(&mut self, names: &Trace) -> OnlineReport {
-        self.report_inner(names, true)
     }
 }
 
@@ -866,15 +824,13 @@ mod tests {
                         cursors[si] = end;
                         progressed = true;
                         // Mid-stream report must not corrupt later state.
-                        let _ = st.report_at_horizon(&t);
+                        let _ = st.report(&t);
                     }
                 }
             }
             assert!(!st.is_stale());
             let one_shot = online_analyze(&t);
             assert_eq!(st.report(&t), one_shot, "batch size {batch} diverged");
-            // With every thread exited the horizon report is the exact one.
-            assert_eq!(st.report_at_horizon(&t), one_shot);
         }
     }
 
@@ -894,7 +850,7 @@ mod tests {
         let mut st = OnlineState::new();
         // Thread 0's whole stream first: once it exits, its groups fold.
         st.ingest(t.threads[0].tid, &t.threads[0].events);
-        let _ = st.report_at_horizon(&t);
+        let _ = st.report(&t);
         assert!(!st.is_stale());
         // Thread 1 then arrives with events below the watermark.
         st.ingest(t.threads[1].tid, &t.threads[1].events);
@@ -932,28 +888,7 @@ mod tests {
         assert_eq!(st.events_folded(), st.events_ingested());
         assert_eq!(GROUP_EVENTS.with(Cell::get) - before, st.events_ingested());
         // A second report has nothing left to fold.
-        assert_eq!(st.report_at_horizon(&t), one_shot);
+        assert_eq!(st.report(&t), one_shot);
         assert_eq!(GROUP_EVENTS.with(Cell::get) - before, st.events_ingested());
-    }
-
-    /// The horizon report tracks live progress before any thread exits.
-    #[test]
-    fn horizon_report_sees_live_threads() {
-        let mut b = TraceBuilder::new("online-horizon");
-        let l = b.lock("L");
-        let t0 = b.thread("T0", 0);
-        b.on(t0).cs(l, 10).work(5).exit();
-        let t = b.build().unwrap();
-
-        let mut st = OnlineState::new();
-        // Everything but the final exit: no completed path yet.
-        let n = t.threads[0].events.len();
-        st.ingest(t.threads[0].tid, &t.threads[0].events[..n - 1]);
-        assert_eq!(st.report(&t).cp_length, 0, "no thread has exited");
-        let horizon = st.report_at_horizon(&t);
-        assert!(horizon.cp_length > 0, "horizon must see the live frontier");
-        // The remainder completes the session; both reports agree again.
-        st.ingest(t.threads[0].tid, &t.threads[0].events[n - 1..]);
-        assert_eq!(st.report(&t), online_analyze(&t));
     }
 }

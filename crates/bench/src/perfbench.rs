@@ -258,7 +258,7 @@ fn measure_stages(bytes: &[u8], trace: &Trace, reps: usize) -> StageTimings {
 
 /// Merge the trace's per-thread streams into global arrival order and
 /// split into `batches` chunks of per-thread runs — the shape a live
-/// collector feeds [`OnlineState::ingest`].
+/// session's frames arrive in, each fed to [`OnlineState::ingest`].
 fn live_plan(trace: &Trace, batches: usize) -> Vec<Vec<(ThreadId, Vec<Event>)>> {
     let mut merged: Vec<(ThreadId, Event)> = Vec::with_capacity(trace.num_events());
     for stream in &trace.threads {

@@ -328,11 +328,7 @@ impl CollectorMetrics {
                         DEFAULT_LATENCY_BOUNDS_NS,
                     )
                 };
-                SnapshotStageTimers {
-                    repair: stage("repair"),
-                    analyze: stage("analyze"),
-                    online: stage("online"),
-                }
+                SnapshotStageTimers { repair: stage("repair"), analyze: stage("analyze") }
             },
             registry: r,
         }

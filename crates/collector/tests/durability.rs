@@ -404,7 +404,6 @@ fn oversized_journal_recovers_within_the_event_budget() {
     let after = restarted.status().sessions[0].clone();
     assert_eq!(after.events, before.events, "replay must respect the event budget");
     assert_eq!(after.report, before.report, "recovered report must be byte-identical");
-    assert_eq!(after.online_cp_length, before.online_cp_length);
     restarted.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

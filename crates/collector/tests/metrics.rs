@@ -88,7 +88,7 @@ fn live_snapshot_matches_offline_analyze_with_metrics_enabled() {
 
     let snap = handle.metrics_snapshot();
     // The refreshes behind the status request say where their time went.
-    for stage in ["repair", "analyze", "online"] {
+    for stage in ["repair", "analyze"] {
         let labels = format!("{{stage=\"{stage}\"}}");
         let h = snap
             .histogram(&format!("critlock_snapshot_stage_ns{labels}"))
