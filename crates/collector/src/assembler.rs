@@ -5,19 +5,15 @@
 //! reality of live sessions: producers that vanish mid-critical-section,
 //! frames dropped under backpressure, registration frames that never
 //! arrived. [`SessionAssembler`] folds whatever frames do arrive into a
-//! partial [`Trace`], and [`SessionAssembler::finalize`] repairs the
-//! partial trace into one that passes `Trace::validate`:
-//!
-//! * thread streams are made dense (placeholder empty streams for ids
-//!   that were referenced but never announced);
-//! * objects referenced past the registry are registered with a kind
-//!   inferred from their first use;
-//! * per-thread, events that violate the protocol state machine (orphans
-//!   of dropped frames) are discarded;
-//! * open critical sections, barrier waits and condvar waits are closed
-//!   at the thread's last-seen timestamp, and a `ThreadExit` is appended —
-//!   the paper's convention that an incomplete invocation is accounted up
-//!   to the measurement horizon.
+//! partial [`Trace`], and [`SessionAssembler::finalize`] runs it through
+//! `critlock_trace::salvage::repair`, which makes it pass
+//! `Trace::validate`: streams become dense, unregistered objects take the
+//! kind of their first use, each event the per-thread protocol refuses is
+//! dropped, and what is left open is closed at the thread's last-seen
+//! timestamp — the paper's convention that an incomplete invocation is
+//! accounted up to the measurement horizon. Repair shares its protocol
+//! machine and its closing rules with `Trace::validate` and offline
+//! salvage.
 //!
 //! On a well-formed, gracefully ended session the repair is the identity
 //! (beyond ordering streams by thread id), which is what makes live
@@ -28,12 +24,9 @@ use critlock_analysis::WindowRing;
 use critlock_obs::Counter;
 use critlock_trace::checkpoint::{CheckpointDoc, WindowCheckpoint};
 use critlock_trace::rollup::WindowDigest;
+use critlock_trace::salvage::repair;
 use critlock_trace::stream::{Frame, RawFrame};
-use critlock_trace::{
-    Budget, Event, EventKind, ObjId, ObjInfo, ObjKind, ThreadId, ThreadStream, Trace, Ts,
-    SEQ_UNKNOWN,
-};
-use rustc_hash::FxHashMap;
+use critlock_trace::{Budget, EventKind, ObjInfo, ObjKind, ThreadStream, Trace, Ts};
 
 /// How many closed sliding windows each session retains — the "last N
 /// seconds" view is `cap × width` deep at most.
@@ -125,7 +118,9 @@ impl SessionAssembler {
                 Ok(Frame::Objects { first_id, objects }) => {
                     let first = first_id as usize;
                     // Fill any gap left by a dropped registration frame with
-                    // placeholders; repair re-kinds them from first use.
+                    // `Marker` placeholders: repair gives a `Marker` slot the
+                    // kind of its first use, and the partial trace carries
+                    // the placeholders through checkpoints.
                     while self.trace.objects.len() < first {
                         let i = self.trace.objects.len();
                         self.trace.objects.push(ObjInfo {
@@ -347,300 +342,10 @@ impl SessionAssembler {
     }
 }
 
-/// The object kind an event expects its operand to have.
-fn expected_kind(kind: &EventKind) -> Option<(ObjId, ObjKind)> {
-    Some(match *kind {
-        EventKind::LockAcquire { lock }
-        | EventKind::LockContended { lock }
-        | EventKind::LockObtain { lock }
-        | EventKind::LockRelease { lock } => (lock, ObjKind::Lock),
-        EventKind::RwAcquire { lock, .. }
-        | EventKind::RwContended { lock, .. }
-        | EventKind::RwObtain { lock, .. }
-        | EventKind::RwRelease { lock, .. } => (lock, ObjKind::RwLock),
-        EventKind::BarrierArrive { barrier, .. } | EventKind::BarrierDepart { barrier, .. } => {
-            (barrier, ObjKind::Barrier)
-        }
-        EventKind::CondWaitBegin { cv }
-        | EventKind::CondWakeup { cv, .. }
-        | EventKind::CondSignal { cv, .. }
-        | EventKind::CondBroadcast { cv, .. } => (cv, ObjKind::Condvar),
-        EventKind::Marker { id } => (id, ObjKind::Marker),
-        _ => return None,
-    })
-}
-
-/// Repair a partial trace into one that passes `Trace::validate`. The
-/// partial trace is only read: each stream's events are copied once,
-/// into their repaired form. Identity (modulo thread-stream order) on
-/// already-valid traces.
-pub fn repair(partial: &Trace) -> Trace {
-    // One scan finds the highest thread id (streams become dense) and
-    // the kinds of objects referenced past the registry.
-    let mut objects = partial.objects.clone();
-    let mut inferred: FxHashMap<u32, ObjKind> = FxHashMap::default();
-    let mut max_tid: Option<u32> = partial.threads.iter().map(|s| s.tid.0).max();
-    for ev in partial.threads.iter().flat_map(|s| &s.events) {
-        if let Some(peer) = peer_tid(&ev.kind) {
-            max_tid = Some(max_tid.map_or(peer.0, |m| m.max(peer.0)));
-        }
-        if let Some((obj, kind)) = expected_kind(&ev.kind) {
-            if obj.0 as usize >= objects.len() {
-                inferred.entry(obj.0).or_insert(kind);
-            }
-        }
-    }
-    if let Some(&top) = inferred.keys().max() {
-        for i in objects.len() as u32..=top {
-            let kind = inferred.get(&i).copied().unwrap_or(ObjKind::Marker);
-            objects.push(ObjInfo { kind, name: format!("unregistered-{i}") });
-        }
-    }
-    let mut threads: Vec<ThreadStream> = match max_tid {
-        Some(max_tid) => (0..=max_tid).map(|i| ThreadStream::new(ThreadId(i))).collect(),
-        None => Vec::new(),
-    };
-    // --- per-stream protocol repair ------------------------------------
-    for stream in &partial.threads {
-        threads[stream.tid.index()] = ThreadStream {
-            tid: stream.tid,
-            name: stream.name.clone(),
-            events: repair_stream(&stream.events, &objects),
-        };
-    }
-    Trace { meta: partial.meta.clone(), objects, threads }
-}
-
-fn peer_tid(kind: &EventKind) -> Option<ThreadId> {
-    match *kind {
-        EventKind::ThreadCreate { child }
-        | EventKind::JoinBegin { child }
-        | EventKind::JoinEnd { child } => Some(child),
-        _ => None,
-    }
-}
-
-/// Rebuild one thread's event list so it satisfies the validation state
-/// machine, dropping orphaned events and closing open waits at the end.
-fn repair_stream(events: &[Event], objects: &[ObjInfo]) -> Vec<Event> {
-    if events.is_empty() {
-        return Vec::new();
-    }
-
-    let kind_ok = |obj: ObjId, kind: ObjKind| {
-        objects.get(obj.0 as usize).is_some_and(|info| info.kind == kind)
-    };
-
-    // 0 = idle, 1 = acquiring, 2 = contended, 3 = held (same encoding as
-    // `Trace::validate`); rwlocks also remember the requested mode. These
-    // are hit once per event, so they use the fast deterministic hasher;
-    // close-time iteration sorts the keys to keep synthesized-event order
-    // independent of insertion history.
-    let mut lock_state: FxHashMap<ObjId, u8> = FxHashMap::default();
-    let mut rw_state: FxHashMap<ObjId, (u8, bool)> = FxHashMap::default();
-    // The in-flight acquisition of each lock or rwlock: the indices in
-    // `out` of its acquire and, once kept, its contended event.
-    let mut pending: FxHashMap<ObjId, (usize, Option<usize>)> = FxHashMap::default();
-    let mut in_barrier: Option<(ObjId, u32)> = None;
-    let mut in_wait: Option<ObjId> = None;
-
-    let mut out: Vec<Event> = Vec::with_capacity(events.len() + 4);
-    let mut last_ts: Ts = 0;
-    let mut exited = false;
-
-    for ev in events {
-        if exited {
-            break;
-        }
-        // Clamp any backwards timestamp (possible only after frame loss).
-        let ts = ev.ts.max(last_ts);
-
-        let keep = match ev.kind {
-            EventKind::ThreadStart => out.is_empty(),
-            EventKind::ThreadExit => {
-                exited = true;
-                false // appended at the end, after closing open waits
-            }
-            EventKind::LockAcquire { lock } => {
-                kind_ok(lock, ObjKind::Lock) && *lock_state.entry(lock).or_insert(0) == 0 && {
-                    lock_state.insert(lock, 1);
-                    true
-                }
-            }
-            EventKind::LockContended { lock } => {
-                kind_ok(lock, ObjKind::Lock) && *lock_state.entry(lock).or_insert(0) == 1 && {
-                    lock_state.insert(lock, 2);
-                    true
-                }
-            }
-            EventKind::LockObtain { lock } => {
-                kind_ok(lock, ObjKind::Lock) && matches!(lock_state.get(&lock), Some(1 | 2)) && {
-                    lock_state.insert(lock, 3);
-                    true
-                }
-            }
-            EventKind::LockRelease { lock } => {
-                kind_ok(lock, ObjKind::Lock) && lock_state.get(&lock) == Some(&3) && {
-                    lock_state.insert(lock, 0);
-                    true
-                }
-            }
-            EventKind::RwAcquire { lock, write } => {
-                kind_ok(lock, ObjKind::RwLock)
-                    && rw_state.entry(lock).or_insert((0, write)).0 == 0
-                    && {
-                        rw_state.insert(lock, (1, write));
-                        true
-                    }
-            }
-            EventKind::RwContended { lock, write } => {
-                kind_ok(lock, ObjKind::RwLock) && rw_state.get(&lock).map(|s| s.0) == Some(1) && {
-                    rw_state.insert(lock, (2, write));
-                    true
-                }
-            }
-            EventKind::RwObtain { lock, write } => {
-                kind_ok(lock, ObjKind::RwLock)
-                    && matches!(rw_state.get(&lock).map(|s| s.0), Some(1 | 2))
-                    && {
-                        rw_state.insert(lock, (3, write));
-                        true
-                    }
-            }
-            EventKind::RwRelease { lock, write } => {
-                kind_ok(lock, ObjKind::RwLock) && rw_state.get(&lock).map(|s| s.0) == Some(3) && {
-                    rw_state.insert(lock, (0, write));
-                    true
-                }
-            }
-            EventKind::BarrierArrive { barrier, epoch } => {
-                kind_ok(barrier, ObjKind::Barrier) && in_barrier.is_none() && {
-                    in_barrier = Some((barrier, epoch));
-                    true
-                }
-            }
-            EventKind::BarrierDepart { barrier, epoch } => {
-                in_barrier == Some((barrier, epoch)) && {
-                    in_barrier = None;
-                    true
-                }
-            }
-            EventKind::CondWaitBegin { cv } => {
-                kind_ok(cv, ObjKind::Condvar) && in_wait.is_none() && {
-                    in_wait = Some(cv);
-                    true
-                }
-            }
-            EventKind::CondWakeup { cv, .. } => {
-                in_wait == Some(cv) && {
-                    in_wait = None;
-                    true
-                }
-            }
-            EventKind::CondSignal { cv, .. } | EventKind::CondBroadcast { cv, .. } => {
-                kind_ok(cv, ObjKind::Condvar)
-            }
-            EventKind::Marker { id } => kind_ok(id, ObjKind::Marker),
-            EventKind::ThreadCreate { .. }
-            | EventKind::JoinBegin { .. }
-            | EventKind::JoinEnd { .. } => true,
-        };
-
-        if keep {
-            if out.is_empty() && ev.kind != EventKind::ThreadStart {
-                out.push(Event::new(ts, EventKind::ThreadStart));
-            }
-            let idx = out.len();
-            // Track the indices of an in-flight acquisition so a
-            // contended acquire that never completed can be excised.
-            match ev.kind {
-                EventKind::LockAcquire { lock } | EventKind::RwAcquire { lock, .. } => {
-                    pending.insert(lock, (idx, None));
-                }
-                EventKind::LockContended { lock } | EventKind::RwContended { lock, .. } => {
-                    if let Some(p) = pending.get_mut(&lock) {
-                        p.1 = Some(idx);
-                    }
-                }
-                EventKind::LockObtain { lock } | EventKind::RwObtain { lock, .. } => {
-                    pending.remove(&lock);
-                }
-                _ => {}
-            }
-            out.push(Event::new(ts, ev.kind));
-            last_ts = ts;
-        } else if exited {
-            last_ts = ts;
-        }
-    }
-
-    if out.is_empty() {
-        // Nothing survived (e.g. only a ThreadExit arrived): an empty
-        // stream is valid.
-        return out;
-    }
-
-    // Close everything still open at the measurement horizon. An
-    // uncontended in-flight acquire (state 1) becomes a zero-hold
-    // invocation; a *contended* one (state 2) is excised instead, because
-    // a synthesized contended obtain would imply a release by another
-    // thread that never happened. A held lock (state 3) gets its release.
-    let mut remove: Vec<usize> = Vec::new();
-    let mut excise = |lock: ObjId| {
-        if let Some(&(acquire, contended)) = pending.get(&lock) {
-            remove.push(acquire);
-            remove.extend(contended);
-        }
-    };
-    if let Some(cv) = in_wait.take() {
-        out.push(Event::new(last_ts, EventKind::CondWakeup { cv, signal_seq: SEQ_UNKNOWN }));
-    }
-    if let Some((barrier, epoch)) = in_barrier.take() {
-        out.push(Event::new(last_ts, EventKind::BarrierDepart { barrier, epoch }));
-    }
-    let mut lock_ids: Vec<ObjId> = lock_state.keys().copied().collect();
-    lock_ids.sort_unstable();
-    for lock in lock_ids {
-        match lock_state[&lock] {
-            1 => {
-                out.push(Event::new(last_ts, EventKind::LockObtain { lock }));
-                out.push(Event::new(last_ts, EventKind::LockRelease { lock }));
-            }
-            2 => excise(lock),
-            3 => out.push(Event::new(last_ts, EventKind::LockRelease { lock })),
-            _ => {}
-        }
-    }
-    let mut rw_ids: Vec<ObjId> = rw_state.keys().copied().collect();
-    rw_ids.sort_unstable();
-    for lock in rw_ids {
-        let (st, write) = rw_state[&lock];
-        match st {
-            1 => {
-                out.push(Event::new(last_ts, EventKind::RwObtain { lock, write }));
-                out.push(Event::new(last_ts, EventKind::RwRelease { lock, write }));
-            }
-            2 => excise(lock),
-            3 => out.push(Event::new(last_ts, EventKind::RwRelease { lock, write })),
-            _ => {}
-        }
-    }
-    if !remove.is_empty() {
-        remove.sort_unstable();
-        let mut i = 0;
-        out.retain(|_| {
-            i += 1;
-            remove.binary_search(&(i - 1)).is_err()
-        });
-    }
-    out.push(Event::new(last_ts, EventKind::ThreadExit));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use critlock_trace::TraceBuilder;
+    use critlock_trace::{Event, ObjId, ThreadId, TraceBuilder};
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new("assembler-sample");
@@ -842,6 +547,48 @@ mod tests {
         out.validate().expect("inferred registrations must validate");
         assert_eq!(out.threads.len(), 2);
         assert_eq!(out.objects.len(), 1);
+    }
+
+    /// An `Objects` frame past the registry (its predecessor was dropped)
+    /// leaves a placeholder gap. Events on a gap object keep it, and it
+    /// takes its kind from first use, also after a checkpoint restore.
+    #[test]
+    fn objects_in_a_registry_gap_take_their_kind_from_first_use() {
+        use critlock_analysis::analyze;
+        use EventKind::*;
+        let (l, m) = (ObjId(0), ObjId(1));
+        let mut asm = SessionAssembler::new();
+        apply(&mut asm, &Frame::Start { meta: Default::default() });
+        apply(
+            &mut asm,
+            &Frame::Objects {
+                first_id: 1,
+                objects: vec![ObjInfo { kind: ObjKind::Lock, name: "M".into() }],
+            },
+        );
+        apply(&mut asm, &Frame::Thread { tid: ThreadId(0), name: None });
+        let events = evs(&[
+            (0, ThreadStart),
+            (1, LockAcquire { lock: l }),
+            (1, LockObtain { lock: l }),
+            (3, LockRelease { lock: l }),
+            (4, LockAcquire { lock: m }),
+            (4, LockObtain { lock: m }),
+            (6, LockRelease { lock: m }),
+            (7, ThreadExit),
+        ]);
+        apply(&mut asm, &Frame::Events { tid: ThreadId(0), events: events.clone() });
+        let restored = SessionAssembler::restore(asm.checkpoint_doc(b"t"), Budget::default(), None);
+        for out in [asm.finalize(), restored.finalize()] {
+            out.validate().unwrap();
+            assert_eq!(out.threads[0].events, events);
+            assert_eq!(
+                out.objects[0],
+                ObjInfo { kind: ObjKind::Lock, name: "unregistered-0".into() }
+            );
+            let names: Vec<_> = analyze(&out).locks.iter().map(|r| r.name.clone()).collect();
+            assert_eq!(names.len(), 2, "{names:?}");
+        }
     }
 
     #[test]

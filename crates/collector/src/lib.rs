@@ -75,13 +75,14 @@ pub mod queue;
 pub mod server;
 pub mod snapshot;
 
-pub use assembler::{repair, SessionAssembler};
+pub use assembler::SessionAssembler;
 pub use client::{
     fetch_health, fetch_health_text, fetch_metrics_text, fetch_rollup, fetch_status_text_timeout,
     fetch_status_timeout, push, push_rollup_with, push_with, PushOptions,
 };
 pub use critlock_trace::faults::{self, FaultState, FaultStream};
 pub use critlock_trace::net::{self, Addr, Listener, Stream};
+pub use critlock_trace::salvage::repair;
 pub use health::{HealthClass, HealthReport};
 pub use io::{DiskBudget, DiskFaultPlan, FaultyIo, JournalIo, RealIo};
 pub use journal::{recover_dir, JournalOptions, RecoveredSession, SessionJournal};

@@ -16,7 +16,7 @@
 //! * thread lifecycle edges (*create*/*start*, *exit*/*join*) close the
 //!   dependence graph needed by the critical-path walk.
 
-use crate::ids::{ObjId, ThreadId};
+use crate::ids::{ObjId, ObjKind, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -154,29 +154,35 @@ pub enum EventKind {
 impl EventKind {
     /// The synchronization object this event refers to, if any.
     pub fn obj(&self) -> Option<ObjId> {
-        match *self {
+        self.expected_object().map(|(obj, _)| obj)
+    }
+
+    /// The synchronization object this event refers to, with the kind
+    /// it must be registered as.
+    pub fn expected_object(&self) -> Option<(ObjId, ObjKind)> {
+        Some(match *self {
             EventKind::LockAcquire { lock }
             | EventKind::LockContended { lock }
             | EventKind::LockObtain { lock }
-            | EventKind::LockRelease { lock } => Some(lock),
+            | EventKind::LockRelease { lock } => (lock, ObjKind::Lock),
+            EventKind::RwAcquire { lock, .. }
+            | EventKind::RwContended { lock, .. }
+            | EventKind::RwObtain { lock, .. }
+            | EventKind::RwRelease { lock, .. } => (lock, ObjKind::RwLock),
             EventKind::BarrierArrive { barrier, .. } | EventKind::BarrierDepart { barrier, .. } => {
-                Some(barrier)
+                (barrier, ObjKind::Barrier)
             }
             EventKind::CondWaitBegin { cv }
             | EventKind::CondWakeup { cv, .. }
             | EventKind::CondSignal { cv, .. }
-            | EventKind::CondBroadcast { cv, .. } => Some(cv),
-            EventKind::Marker { id } => Some(id),
-            EventKind::RwAcquire { lock, .. }
-            | EventKind::RwContended { lock, .. }
-            | EventKind::RwObtain { lock, .. }
-            | EventKind::RwRelease { lock, .. } => Some(lock),
+            | EventKind::CondBroadcast { cv, .. } => (cv, ObjKind::Condvar),
+            EventKind::Marker { id } => (id, ObjKind::Marker),
             EventKind::ThreadCreate { .. }
             | EventKind::ThreadStart
             | EventKind::ThreadExit
             | EventKind::JoinBegin { .. }
-            | EventKind::JoinEnd { .. } => None,
-        }
+            | EventKind::JoinEnd { .. } => return None,
+        })
     }
 
     /// The other thread this event refers to, if any.

@@ -56,6 +56,7 @@ pub mod ids;
 pub mod jsonl;
 pub mod net;
 pub mod producer;
+mod protocol;
 pub mod retry;
 pub mod rollup;
 pub mod salvage;

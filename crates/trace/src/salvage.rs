@@ -4,7 +4,15 @@
 //! violation. That is the right posture for the deterministic simulator,
 //! but real instrumented runs arrive torn (a crashed producer), skewed
 //! (cross-core clock drift) or referencing objects whose registration
-//! frames were lost. Salvage takes the opposite posture:
+//! frames were lost. This module holds the two tolerant passes. Both
+//! drive the one per-thread protocol machine that `Trace::validate`
+//! runs, and both close what a stream leaves open the same way: innermost
+//! first (condvar wakeup, barrier depart, then locks and rwlocks by id),
+//! zero-length holds for in-flight acquires, excision for abandoned
+//! contended acquisitions, and a `ThreadExit` appended. They differ in
+//! policy.
+//!
+//! [`salvage_trace`] serves offline analysis (`critlock analyze`):
 //!
 //! * each thread stream is truncated to its *longest protocol-consistent
 //!   prefix* — the first unrecoverable protocol violation cuts the
@@ -12,14 +20,11 @@
 //! * backwards timestamps are clamped to the running per-thread maximum;
 //! * events referencing unregistered objects (or objects of the wrong
 //!   kind) and out-of-range thread ids are dropped individually;
-//! * open critical sections, waits and barrier episodes at a cut are
-//!   closed with synthesized events (zero-length holds for in-flight
-//!   acquires, excision for abandoned contended waits), matching the
-//!   conventions of the collector's assembler, and a `ThreadExit` is
-//!   appended;
+//! * open sections are closed at the last considered timestamp;
 //! * a thread with nothing salvageable is *quarantined*: it stays in the
 //!   trace as an empty stream so thread ids remain dense, and the
-//!   critical-path walker treats references to it gracefully.
+//!   critical-path walker treats references to it gracefully;
+//! * every repair is counted and explained in a [`SalvageReport`].
 //!
 //! The result always passes [`Trace::validate`], and salvaging an
 //! already-valid trace is the identity — same trace, clean report.
@@ -27,12 +32,29 @@
 //! Salvage is also where a [`Budget`] is applied to in-memory traces:
 //! excess threads and events are tail-truncated deterministically (in
 //! `(thread, index)` order) and the report is marked degraded.
+//!
+//! [`repair`] serves the live collector, whose partial traces are short
+//! of frames rather than corrupt:
+//!
+//! * thread streams are made dense, with empty streams for ids that were
+//!   referenced but never announced;
+//! * objects referenced past the registry, and `Marker` slots (the
+//!   placeholder a session fills a registration gap with), take the kind
+//!   of their first use;
+//! * an event that violates the protocol (an orphan of a dropped frame)
+//!   is dropped, and the stream goes on;
+//! * open sections are closed at the last kept timestamp, or at the
+//!   stream's `ThreadExit`.
+//!
+//! On a well-formed stream repair is the identity, which is what makes a
+//! live snapshot of a complete session match offline analysis exactly.
 
 use crate::anomaly::Anomaly;
 use crate::budget::Budget;
 use crate::error::Result;
-use crate::event::{Event, EventKind, SEQ_UNKNOWN};
-use crate::ids::{ObjId, ObjInfo, ObjKind, ThreadId};
+use crate::event::{Event, EventKind, Ts};
+use crate::ids::{ObjInfo, ObjKind, ThreadId};
+use crate::protocol::Protocol;
 use crate::trace::{ThreadStream, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -252,26 +274,6 @@ struct StreamStats {
     anomalies: Vec<Anomaly>,
 }
 
-fn expected_kind(kind: &EventKind) -> Option<ObjKind> {
-    match kind {
-        EventKind::LockAcquire { .. }
-        | EventKind::LockContended { .. }
-        | EventKind::LockObtain { .. }
-        | EventKind::LockRelease { .. } => Some(ObjKind::Lock),
-        EventKind::BarrierArrive { .. } | EventKind::BarrierDepart { .. } => Some(ObjKind::Barrier),
-        EventKind::CondWaitBegin { .. }
-        | EventKind::CondWakeup { .. }
-        | EventKind::CondSignal { .. }
-        | EventKind::CondBroadcast { .. } => Some(ObjKind::Condvar),
-        EventKind::Marker { .. } => Some(ObjKind::Marker),
-        EventKind::RwAcquire { .. }
-        | EventKind::RwContended { .. }
-        | EventKind::RwObtain { .. }
-        | EventKind::RwRelease { .. } => Some(ObjKind::RwLock),
-        _ => None,
-    }
-}
-
 /// Salvage one stream: `take` caps how many input events may be
 /// considered (the event budget); `nthreads` bounds valid thread refs.
 fn salvage_stream(
@@ -296,18 +298,7 @@ fn salvage_stream(
     let mut clamped = 0u64;
     let mut synthesized = 0u64;
 
-    // Per-lock state: 0 idle, 1 acquiring, 2 contended, 3 held — the
-    // same machine `Trace::validate` runs. `*_open` tracks the kept
-    // indexes of the in-flight acquire/contended events so an abandoned
-    // contended wait can be excised at close time.
-    let mut lock_state: BTreeMap<ObjId, u8> = BTreeMap::new();
-    let mut lock_open: BTreeMap<ObjId, Vec<usize>> = BTreeMap::new();
-    let mut rw_state: BTreeMap<ObjId, u8> = BTreeMap::new();
-    let mut rw_open: BTreeMap<ObjId, Vec<usize>> = BTreeMap::new();
-    let mut rw_write: BTreeMap<ObjId, bool> = BTreeMap::new();
-    let mut in_barrier: Option<(ObjId, u32)> = None;
-    let mut in_wait: Option<ObjId> = None;
-
+    let mut protocol = Protocol::default();
     let mut last_ts = 0u64;
     let mut ended_clean = false;
     let mut synthesized_start = false;
@@ -316,10 +307,8 @@ fn salvage_stream(
         let mut ev = *ev;
 
         // Dangling references: drop the single event, keep scanning.
-        if let Some(obj) = ev.kind.obj() {
-            let ok = matches!(objects.get(obj.index()), Some(info)
-                if Some(info.kind) == expected_kind(&ev.kind));
-            if !ok {
+        if let Some((obj, kind)) = ev.kind.expected_object() {
+            if objects.get(obj.index()).map(|info| info.kind) != Some(kind) {
                 anomalies.push(Anomaly::DanglingObjectRef { tid, index: i, obj });
                 continue;
             }
@@ -354,10 +343,7 @@ fn salvage_stream(
             break;
         }
         if ev.kind == EventKind::ThreadExit {
-            let quiesced = lock_state.values().all(|&s| s == 0)
-                && rw_state.values().all(|&s| s == 0)
-                && in_barrier.is_none()
-                && in_wait.is_none();
+            let quiesced = protocol.quiesced();
             if i + 1 == stream.events.len() && i + 1 == take && quiesced {
                 kept.push(ev);
                 kept_orig += 1;
@@ -374,117 +360,8 @@ fn salvage_stream(
         }
 
         // Synchronization protocol: first violation cuts the stream.
-        let violation: Option<String> = match ev.kind {
-            EventKind::LockAcquire { lock } => {
-                let st = lock_state.entry(lock).or_insert(0);
-                if *st != 0 {
-                    Some(format!("acquire of {lock} while in state {st}"))
-                } else {
-                    *st = 1;
-                    lock_open.entry(lock).or_default().push(kept.len());
-                    None
-                }
-            }
-            EventKind::LockContended { lock } => {
-                let st = lock_state.entry(lock).or_insert(0);
-                if *st != 1 {
-                    Some(format!("contended on {lock} without acquire"))
-                } else {
-                    *st = 2;
-                    lock_open.entry(lock).or_default().push(kept.len());
-                    None
-                }
-            }
-            EventKind::LockObtain { lock } => {
-                let st = lock_state.entry(lock).or_insert(0);
-                if *st != 1 && *st != 2 {
-                    Some(format!("obtain of {lock} without acquire"))
-                } else {
-                    *st = 3;
-                    None
-                }
-            }
-            EventKind::LockRelease { lock } => {
-                let st = lock_state.entry(lock).or_insert(0);
-                if *st != 3 {
-                    Some(format!("release of {lock} not held"))
-                } else {
-                    *st = 0;
-                    lock_open.remove(&lock);
-                    None
-                }
-            }
-            EventKind::RwAcquire { lock, write } => {
-                let st = rw_state.entry(lock).or_insert(0);
-                if *st != 0 {
-                    Some(format!("rw-acquire of {lock} while in state {st}"))
-                } else {
-                    *st = 1;
-                    rw_write.insert(lock, write);
-                    rw_open.entry(lock).or_default().push(kept.len());
-                    None
-                }
-            }
-            EventKind::RwContended { lock, .. } => {
-                let st = rw_state.entry(lock).or_insert(0);
-                if *st != 1 {
-                    Some(format!("rw-contended on {lock} without acquire"))
-                } else {
-                    *st = 2;
-                    rw_open.entry(lock).or_default().push(kept.len());
-                    None
-                }
-            }
-            EventKind::RwObtain { lock, .. } => {
-                let st = rw_state.entry(lock).or_insert(0);
-                if *st != 1 && *st != 2 {
-                    Some(format!("rw-obtain of {lock} without acquire"))
-                } else {
-                    *st = 3;
-                    None
-                }
-            }
-            EventKind::RwRelease { lock, .. } => {
-                let st = rw_state.entry(lock).or_insert(0);
-                if *st != 3 {
-                    Some(format!("rw-release of {lock} not held"))
-                } else {
-                    *st = 0;
-                    rw_open.remove(&lock);
-                    None
-                }
-            }
-            EventKind::BarrierArrive { barrier, epoch } => match in_barrier {
-                Some((b, _)) => Some(format!("arrive at {barrier} while inside {b}")),
-                None => {
-                    in_barrier = Some((barrier, epoch));
-                    None
-                }
-            },
-            EventKind::BarrierDepart { barrier, epoch } => match in_barrier {
-                Some((b, e)) if b == barrier && e == epoch => {
-                    in_barrier = None;
-                    None
-                }
-                ref other => Some(format!("depart {barrier}@{epoch} but waiting on {other:?}")),
-            },
-            EventKind::CondWaitBegin { cv } => match in_wait {
-                Some(c) => Some(format!("wait on {cv} while waiting on {c}")),
-                None => {
-                    in_wait = Some(cv);
-                    None
-                }
-            },
-            EventKind::CondWakeup { cv, .. } => match in_wait {
-                Some(c) if c == cv => {
-                    in_wait = None;
-                    None
-                }
-                ref other => Some(format!("wakeup on {cv} but waiting on {other:?}")),
-            },
-            _ => None,
-        };
-        if let Some(reason) = violation {
+        if let Err(violation) = protocol.step(ev.kind, kept.len()) {
+            let reason = violation.to_string();
             anomalies.push(Anomaly::ProtocolTruncation { tid, index: i, reason });
             break;
         }
@@ -493,66 +370,12 @@ fn salvage_stream(
         kept_orig += 1;
     }
 
-    // Close an unfinished stream: excise abandoned contended waits,
-    // zero-close in-flight acquires, release held locks, resolve open
-    // waits/barriers, then append the missing ThreadExit.
+    // Close an unfinished stream at the last considered timestamp.
     if !kept.is_empty() && !ended_clean {
-        let mut excise: Vec<usize> = Vec::new();
-        for (&lock, st) in &lock_state {
-            match st {
-                1 => {
-                    kept.push(Event::new(last_ts, EventKind::LockObtain { lock }));
-                    kept.push(Event::new(last_ts, EventKind::LockRelease { lock }));
-                    synthesized += 2;
-                }
-                2 => excise.extend(lock_open.get(&lock).into_iter().flatten().copied()),
-                3 => {
-                    kept.push(Event::new(last_ts, EventKind::LockRelease { lock }));
-                    synthesized += 1;
-                }
-                _ => {}
-            }
-        }
-        for (&lock, st) in &rw_state {
-            let write = rw_write.get(&lock).copied().unwrap_or(false);
-            match st {
-                1 => {
-                    kept.push(Event::new(last_ts, EventKind::RwObtain { lock, write }));
-                    kept.push(Event::new(last_ts, EventKind::RwRelease { lock, write }));
-                    synthesized += 2;
-                }
-                2 => excise.extend(rw_open.get(&lock).into_iter().flatten().copied()),
-                3 => {
-                    kept.push(Event::new(last_ts, EventKind::RwRelease { lock, write }));
-                    synthesized += 1;
-                }
-                _ => {}
-            }
-        }
-        if let Some(cv) = in_wait {
-            kept.push(Event::new(last_ts, EventKind::CondWakeup { cv, signal_seq: SEQ_UNKNOWN }));
-            synthesized += 1;
-        }
-        if let Some((barrier, epoch)) = in_barrier {
-            kept.push(Event::new(last_ts, EventKind::BarrierDepart { barrier, epoch }));
-            synthesized += 1;
-        }
-        if !excise.is_empty() {
-            excise.sort_unstable();
-            let mut next = 0usize;
-            let mut idx = 0usize;
-            kept.retain(|_| {
-                let drop = next < excise.len() && excise[next] == idx;
-                if drop {
-                    next += 1;
-                }
-                idx += 1;
-                !drop
-            });
-            kept_orig -= excise.len() as u64;
-        }
-        kept.push(Event::new(last_ts, EventKind::ThreadExit));
-        synthesized += 1;
+        let before = kept.len();
+        let excised = protocol.close(last_ts, &mut kept);
+        synthesized += (kept.len() + excised - before) as u64;
+        kept_orig -= excised as u64;
         anomalies.push(Anomaly::SynthesizedExit { tid });
     }
 
@@ -596,10 +419,100 @@ fn salvage_stream(
     (out, stats)
 }
 
+/// Repair a live session's partial trace into one that passes
+/// [`Trace::validate`]. The partial trace is only read: each stream's
+/// events are copied once, into their repaired form. Identity (modulo
+/// thread-stream order) on already-valid traces. See the module docs for
+/// how this differs from [`salvage_trace`].
+pub fn repair(partial: &Trace) -> Trace {
+    // One scan finds the highest thread id (streams become dense) and
+    // the first-use kinds of objects whose registration never arrived:
+    // ids past the registry, and `Marker` slots, the placeholder kind a
+    // session fills a registration gap with. A real marker's first use
+    // is a `Marker` event, which keeps its kind.
+    let mut objects = partial.objects.clone();
+    let mut inferred: BTreeMap<u32, ObjKind> = BTreeMap::new();
+    let mut max_tid: Option<u32> = partial.threads.iter().map(|s| s.tid.0).max();
+    for ev in partial.threads.iter().flat_map(|s| &s.events) {
+        if let Some(peer) = ev.kind.peer_thread() {
+            max_tid = Some(max_tid.map_or(peer.0, |m| m.max(peer.0)));
+        }
+        if let Some((obj, kind)) = ev.kind.expected_object() {
+            if objects.get(obj.index()).is_none_or(|o| o.kind == ObjKind::Marker) {
+                inferred.entry(obj.0).or_insert(kind);
+            }
+        }
+    }
+    for (&id, &kind) in &inferred {
+        while objects.len() <= id as usize {
+            let i = objects.len();
+            objects.push(ObjInfo { kind: ObjKind::Marker, name: format!("unregistered-{i}") });
+        }
+        objects[id as usize].kind = kind;
+    }
+    let mut threads: Vec<ThreadStream> = match max_tid {
+        Some(max_tid) => (0..=max_tid).map(|i| ThreadStream::new(ThreadId(i))).collect(),
+        None => Vec::new(),
+    };
+    for stream in &partial.threads {
+        threads[stream.tid.index()] = ThreadStream {
+            tid: stream.tid,
+            name: stream.name.clone(),
+            events: repair_stream(&stream.events, &objects),
+        };
+    }
+    Trace { meta: partial.meta.clone(), objects, threads }
+}
+
+/// Rebuild one thread's event list so it satisfies the protocol: drop
+/// each violating event (an orphan of a dropped frame) and go on, then
+/// close what is open at the last kept timestamp, or at the
+/// `ThreadExit`'s.
+fn repair_stream(events: &[Event], objects: &[ObjInfo]) -> Vec<Event> {
+    let mut protocol = Protocol::default();
+    let mut out: Vec<Event> = Vec::with_capacity(events.len() + 4);
+    let mut last_ts: Ts = 0;
+    for ev in events {
+        // Clamp any backwards timestamp (possible only after frame loss).
+        let ts = ev.ts.max(last_ts);
+        match ev.kind {
+            EventKind::ThreadStart if !out.is_empty() => continue,
+            EventKind::ThreadStart => {}
+            EventKind::ThreadExit => {
+                // Appended by `close`, after the open waits.
+                last_ts = ts;
+                break;
+            }
+            kind => {
+                let registered = kind
+                    .expected_object()
+                    .is_none_or(|(obj, k)| objects.get(obj.index()).is_some_and(|o| o.kind == k));
+                // A kept first event gets a synthesized ThreadStart ahead of it.
+                let at = out.len() + usize::from(out.is_empty());
+                if !registered || protocol.step(kind, at).is_err() {
+                    continue;
+                }
+                if out.is_empty() {
+                    out.push(Event::new(ts, EventKind::ThreadStart));
+                }
+            }
+        }
+        out.push(Event::new(ts, ev.kind));
+        last_ts = ts;
+    }
+    // Nothing kept (say, only a ThreadExit arrived): an empty stream is
+    // valid.
+    if !out.is_empty() {
+        protocol.close(last_ts, &mut out);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
+    use crate::ids::ObjId;
 
     fn valid_trace() -> Trace {
         let mut b = TraceBuilder::new("salvage-sample");

@@ -3,6 +3,7 @@
 use crate::error::{Result, TraceError};
 use crate::event::{Event, EventKind, Ts};
 use crate::ids::{ObjId, ObjInfo, ObjKind, ThreadId};
+use crate::protocol::Protocol;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -204,35 +205,10 @@ impl Trace {
         Ok(())
     }
 
-    fn expect_kind(&self, tid: ThreadId, obj: ObjId, kind: ObjKind) -> Result<()> {
-        match self.object(obj) {
-            Some(info) if info.kind == kind => Ok(()),
-            _ => Err(TraceError::UnknownObject { tid, obj }),
-        }
-    }
-
-    fn expect_thread(&self, tid: ThreadId, referenced: ThreadId) -> Result<()> {
-        if referenced.index() < self.threads.len() {
-            Ok(())
-        } else {
-            Err(TraceError::UnknownThread { tid, referenced })
-        }
-    }
-
     fn validate_stream(&self, stream: &ThreadStream) -> Result<()> {
         let tid = stream.tid;
         let proto = |index: usize, message: String| TraceError::Protocol { tid, index, message };
-
-        // Per-lock state machine: 0 = idle, 1 = acquiring, 2 = contended, 3 = held.
-        let mut lock_state: BTreeMap<ObjId, u8> = BTreeMap::new();
-        // Per-rwlock state machine: same states; a thread holds at most one
-        // mode at a time (non-reentrant, like pthread_rwlock_t).
-        let mut rw_state: BTreeMap<ObjId, u8> = BTreeMap::new();
-        // Barrier currently being waited on, with epoch.
-        let mut in_barrier: Option<(ObjId, u32)> = None;
-        // Condvar currently being waited on.
-        let mut in_wait: Option<ObjId> = None;
-
+        let mut protocol = Protocol::default();
         let mut last_ts = 0;
         for (i, ev) in stream.events.iter().enumerate() {
             if ev.ts < last_ts {
@@ -254,151 +230,24 @@ impl Trace {
                 return Err(proto(i, "ThreadExit before end of stream".into()));
             }
 
-            match ev.kind {
-                EventKind::LockAcquire { lock } => {
-                    self.expect_kind(tid, lock, ObjKind::Lock)?;
-                    let st = lock_state.entry(lock).or_insert(0);
-                    if *st != 0 {
-                        return Err(proto(i, format!("acquire of {lock} while in state {st}")));
-                    }
-                    *st = 1;
+            if let Some((obj, kind)) = ev.kind.expected_object() {
+                if self.object(obj).map(|info| info.kind) != Some(kind) {
+                    return Err(TraceError::UnknownObject { tid, obj });
                 }
-                EventKind::LockContended { lock } => {
-                    self.expect_kind(tid, lock, ObjKind::Lock)?;
-                    let st = lock_state.entry(lock).or_insert(0);
-                    if *st != 1 {
-                        return Err(proto(i, format!("contended on {lock} without acquire")));
-                    }
-                    *st = 2;
-                }
-                EventKind::LockObtain { lock } => {
-                    self.expect_kind(tid, lock, ObjKind::Lock)?;
-                    let st = lock_state.entry(lock).or_insert(0);
-                    if *st != 1 && *st != 2 {
-                        return Err(proto(i, format!("obtain of {lock} without acquire")));
-                    }
-                    *st = 3;
-                }
-                EventKind::LockRelease { lock } => {
-                    self.expect_kind(tid, lock, ObjKind::Lock)?;
-                    let st = lock_state.entry(lock).or_insert(0);
-                    if *st != 3 {
-                        return Err(proto(i, format!("release of {lock} not held")));
-                    }
-                    *st = 0;
-                }
-                EventKind::BarrierArrive { barrier, epoch } => {
-                    self.expect_kind(tid, barrier, ObjKind::Barrier)?;
-                    if let Some((b, _)) = in_barrier {
-                        return Err(proto(i, format!("arrive at {barrier} while inside {b}")));
-                    }
-                    in_barrier = Some((barrier, epoch));
-                }
-                EventKind::BarrierDepart { barrier, epoch } => {
-                    self.expect_kind(tid, barrier, ObjKind::Barrier)?;
-                    match in_barrier.take() {
-                        Some((b, e)) if b == barrier && e == epoch => {}
-                        other => {
-                            return Err(proto(
-                                i,
-                                format!("depart {barrier}@{epoch} but waiting on {other:?}"),
-                            ))
-                        }
-                    }
-                }
-                EventKind::CondWaitBegin { cv } => {
-                    self.expect_kind(tid, cv, ObjKind::Condvar)?;
-                    if let Some(c) = in_wait {
-                        return Err(proto(i, format!("wait on {cv} while waiting on {c}")));
-                    }
-                    in_wait = Some(cv);
-                }
-                EventKind::CondWakeup { cv, .. } => {
-                    self.expect_kind(tid, cv, ObjKind::Condvar)?;
-                    match in_wait.take() {
-                        Some(c) if c == cv => {}
-                        other => {
-                            return Err(proto(
-                                i,
-                                format!("wakeup on {cv} but waiting on {other:?}"),
-                            ))
-                        }
-                    }
-                }
-                EventKind::CondSignal { cv, .. } | EventKind::CondBroadcast { cv, .. } => {
-                    self.expect_kind(tid, cv, ObjKind::Condvar)?;
-                }
-                EventKind::ThreadCreate { child } => {
-                    self.expect_thread(tid, child)?;
-                }
-                EventKind::JoinBegin { child } | EventKind::JoinEnd { child } => {
-                    self.expect_thread(tid, child)?;
-                }
-                EventKind::Marker { id } => {
-                    self.expect_kind(tid, id, ObjKind::Marker)?;
-                }
-                EventKind::RwAcquire { lock, .. } => {
-                    self.expect_kind(tid, lock, ObjKind::RwLock)?;
-                    let st = rw_state.entry(lock).or_insert(0);
-                    if *st != 0 {
-                        return Err(proto(i, format!("rw-acquire of {lock} while in state {st}")));
-                    }
-                    *st = 1;
-                }
-                EventKind::RwContended { lock, .. } => {
-                    self.expect_kind(tid, lock, ObjKind::RwLock)?;
-                    let st = rw_state.entry(lock).or_insert(0);
-                    if *st != 1 {
-                        return Err(proto(i, format!("rw-contended on {lock} without acquire")));
-                    }
-                    *st = 2;
-                }
-                EventKind::RwObtain { lock, .. } => {
-                    self.expect_kind(tid, lock, ObjKind::RwLock)?;
-                    let st = rw_state.entry(lock).or_insert(0);
-                    if *st != 1 && *st != 2 {
-                        return Err(proto(i, format!("rw-obtain of {lock} without acquire")));
-                    }
-                    *st = 3;
-                }
-                EventKind::RwRelease { lock, .. } => {
-                    self.expect_kind(tid, lock, ObjKind::RwLock)?;
-                    let st = rw_state.entry(lock).or_insert(0);
-                    if *st != 3 {
-                        return Err(proto(i, format!("rw-release of {lock} not held")));
-                    }
-                    *st = 0;
-                }
-                EventKind::ThreadStart | EventKind::ThreadExit => {}
             }
+            if let Some(referenced) = ev.kind.peer_thread() {
+                if referenced.index() >= self.threads.len() {
+                    return Err(TraceError::UnknownThread { tid, referenced });
+                }
+            }
+            protocol.step(ev.kind, i).map_err(|v| proto(i, v.to_string()))?;
         }
 
         // At thread exit everything must be quiesced.
-        if let Some((lock, st)) = rw_state.iter().find(|(_, st)| **st != 0) {
-            return Err(proto(
-                stream.events.len().saturating_sub(1),
-                format!("thread exits with rwlock {lock} in state {st}"),
-            ));
+        match protocol.unclosed() {
+            Some(message) => Err(proto(stream.events.len().saturating_sub(1), message)),
+            None => Ok(()),
         }
-        if let Some((lock, st)) = lock_state.iter().find(|(_, st)| **st != 0) {
-            return Err(proto(
-                stream.events.len().saturating_sub(1),
-                format!("thread exits with {lock} in state {st}"),
-            ));
-        }
-        if let Some((b, _)) = in_barrier {
-            return Err(proto(
-                stream.events.len().saturating_sub(1),
-                format!("thread exits inside barrier {b}"),
-            ));
-        }
-        if let Some(cv) = in_wait {
-            return Err(proto(
-                stream.events.len().saturating_sub(1),
-                format!("thread exits inside condvar wait {cv}"),
-            ));
-        }
-        Ok(())
     }
 }
 
