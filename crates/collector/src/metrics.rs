@@ -158,6 +158,9 @@ pub struct CollectorMetrics {
     /// gauge; 0 until the first success).
     pub forward_last_success_seconds: Gauge,
 
+    /// Analysis-loop passes, summed over shards. Flat while the collector
+    /// is idle between snapshot ticks: the loops park instead of polling.
+    pub analysis_passes: Counter,
     /// Full snapshot recomputations (repair + analysis).
     pub snapshot_refreshes: Counter,
     /// Snapshot refreshes skipped because no new frame arrived.
@@ -305,6 +308,10 @@ impl CollectorMetrics {
             forward_last_success_seconds: r.gauge(
                 "critlock_forward_last_success_seconds",
                 "Seconds since the last successful rollup push (0 before the first)",
+            ),
+            analysis_passes: r.counter(
+                "critlock_analysis_passes_total",
+                "Analysis-loop passes, summed over shards",
             ),
             snapshot_refreshes: r.counter(
                 "critlock_snapshot_refreshes_total",

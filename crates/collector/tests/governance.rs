@@ -160,6 +160,22 @@ fn strict_mode_severs_over_budget_sessions() {
     let mut config = test_config();
     config.max_events = Some(50);
     config.strict = true;
+    strict_mode_severs(config);
+}
+
+/// A strict session is checked as its frames arrive, not at the next
+/// snapshot tick: with the tick 10 s away the paced push is still
+/// severed.
+#[test]
+fn strict_mode_severs_between_snapshot_ticks() {
+    let mut config = test_config();
+    config.max_events = Some(50);
+    config.strict = true;
+    config.snapshot_interval = Duration::from_secs(10);
+    strict_mode_severs(config);
+}
+
+fn strict_mode_severs(config: CollectorConfig) {
     let handle = start(config).unwrap();
     // Paced so the producer is still writing when the analysis loop
     // notices the budget violation and severs the connection.

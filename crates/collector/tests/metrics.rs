@@ -114,6 +114,31 @@ fn live_snapshot_matches_offline_analyze_with_metrics_enabled() {
     handle.shutdown();
 }
 
+/// `metrics_snapshot` refreshes the scrape-time gauges itself, without
+/// rendering the exposition: read first, before any scrape, its gauges
+/// equal the ones the text then shows.
+#[test]
+fn metrics_snapshot_gauges_match_the_scrape_text() {
+    let handle = start(test_config()).unwrap();
+    push_with(handle.ingest_addr(), &chunky_trace(300), &PushOptions::default()).unwrap();
+    wait_for(&handle, "session to end", |s| s.sessions.first().is_some_and(|x| x.ended));
+
+    let snap = handle.metrics_snapshot();
+    let text = handle.metrics_text();
+    assert_eq!(snap.gauge("critlock_sessions_active"), Some(1));
+    assert!(snap.gauge("critlock_queue_high_water").unwrap() > 0);
+    assert!(!snap.gauges.is_empty());
+    for gauge in &snap.gauges {
+        let prefix = format!("{} ", gauge.name);
+        let line = text
+            .lines()
+            .find(|line| line.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("gauge {} missing from the scrape:\n{text}", gauge.name));
+        assert_eq!(line[prefix.len()..].parse::<u64>().ok(), Some(gauge.value), "{line}");
+    }
+    handle.shutdown();
+}
+
 /// Conservation must survive every deterministic transport fault: cut
 /// connections, truncated frames, bit flips (CRC failures), stalls.
 /// Replayed frames inflate `frames_in` but land in the replay fate;
