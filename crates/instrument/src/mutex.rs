@@ -3,11 +3,13 @@
 //! Follows the paper's interposition strategy exactly (Fig. 4): a
 //! non-blocking `try_lock` first — success means an uncontended
 //! invocation; on failure a *contention* record is written and the thread
-//! falls back to the blocking lock. The release record is written *after*
-//! the real unlock so no tracing overhead lands inside the critical
-//! section.
+//! falls back to the blocking lock. The release is stamped just *before*
+//! the real unlock, so the recorded hold lies inside the real one and no
+//! later obtain by another thread can precede it in the trace; the record
+//! itself (and any sink flush) is written after the unlock, so only one
+//! clock read lands inside the critical section.
 
-use crate::session::{record, SessionInner};
+use crate::session::{record, record_release, SessionInner};
 use critlock_trace::{EventKind, ObjId, ObjKind};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -66,8 +68,8 @@ impl<T> Mutex<T> {
     }
 }
 
-/// RAII guard for [`Mutex`]; releasing it records the release event after
-/// the real unlock.
+/// RAII guard for [`Mutex`]; releasing it records the release event,
+/// stamped just before the real unlock.
 pub struct MutexGuard<'a, T> {
     lock: &'a Mutex<T>,
     guard: Option<parking_lot::MutexGuard<'a, T>>,
@@ -88,9 +90,8 @@ impl<T> DerefMut for MutexGuard<'_, T> {
 
 impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        // Real unlock first, then the trace record (paper §IV.A.1).
-        drop(self.guard.take());
-        record(EventKind::LockRelease { lock: self.lock.id });
+        let guard = self.guard.take();
+        record_release(EventKind::LockRelease { lock: self.lock.id }, || drop(guard));
     }
 }
 
@@ -103,5 +104,41 @@ impl<'a, T> MutexGuard<'a, T> {
     /// The trace id of the guarded lock.
     pub(crate) fn lock_id(&self) -> ObjId {
         self.lock.id
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::session::record_release;
+    use crate::{spawn, Session};
+    use critlock_analysis::validate::check_trace;
+    use critlock_trace::EventKind;
+    use std::sync::{mpsc, Arc};
+
+    #[test]
+    fn release_is_stamped_before_the_next_holder_obtains() {
+        let session = Session::new("stamp");
+        let m = Arc::new(session.mutex("L", ()));
+        // Hold L, keeping the raw guard so the release below can stall
+        // between the real unlock and its end.
+        let mut held = m.lock();
+        let raw = held.guard.take();
+        std::mem::forget(held);
+        let (obtained, wait) = mpsc::channel();
+        let m2 = Arc::clone(&m);
+        let worker = spawn(&session, "w", move || {
+            drop(m2.lock());
+            obtained.send(()).unwrap();
+        });
+        // The worker obtains L, and records it, while this release has not
+        // returned: a release stamped after its unlock would land after
+        // that obtain and the two holds would overlap in the trace.
+        record_release(EventKind::LockRelease { lock: m.id }, || {
+            drop(raw);
+            wait.recv().unwrap();
+        });
+        worker.join().unwrap();
+        let trace = session.finish().unwrap();
+        assert_eq!(check_trace(&trace), Vec::new());
     }
 }

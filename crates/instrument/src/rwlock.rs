@@ -1,12 +1,12 @@
 //! Instrumented reader-writer lock.
 //!
 //! Same interposition strategy as the mutex (try first, record contention
-//! on failure, record the release after the real unlock), with the hold
+//! on failure, stamp the release just before the real unlock), with the hold
 //! mode recorded so the analysis can distinguish shared from exclusive
 //! critical sections. OpenLDAP — the paper's real-world case study — is
 //! exactly the kind of code that lives on rwlocks.
 
-use crate::session::{record, SessionInner};
+use crate::session::{record, record_release, SessionInner};
 use critlock_trace::{EventKind, ObjId, ObjKind};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -83,7 +83,8 @@ impl<T> RwLock<T> {
     }
 }
 
-/// RAII shared guard; records the release after the real unlock.
+/// RAII shared guard; records the release, stamped just before the real
+/// unlock.
 pub struct RwLockReadGuard<'a, T> {
     id: ObjId,
     guard: Option<parking_lot::RwLockReadGuard<'a, T>>,
@@ -98,12 +99,13 @@ impl<T> Deref for RwLockReadGuard<'_, T> {
 
 impl<T> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        drop(self.guard.take());
-        record(EventKind::RwRelease { lock: self.id, write: false });
+        let guard = self.guard.take();
+        record_release(EventKind::RwRelease { lock: self.id, write: false }, || drop(guard));
     }
 }
 
-/// RAII exclusive guard; records the release after the real unlock.
+/// RAII exclusive guard; records the release, stamped just before the
+/// real unlock.
 pub struct RwLockWriteGuard<'a, T> {
     id: ObjId,
     guard: Option<parking_lot::RwLockWriteGuard<'a, T>>,
@@ -124,7 +126,7 @@ impl<T> DerefMut for RwLockWriteGuard<'_, T> {
 
 impl<T> Drop for RwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        drop(self.guard.take());
-        record(EventKind::RwRelease { lock: self.id, write: true });
+        let guard = self.guard.take();
+        record_release(EventKind::RwRelease { lock: self.id, write: true }, || drop(guard));
     }
 }
