@@ -1,7 +1,8 @@
-//! Pinned outputs of the three consumers of the per-thread sync protocol.
+//! Pinned outputs of the consumers of the per-thread sync protocol.
 //!
-//! The collector's `repair`, the offline `salvage_trace` and
-//! `Trace::validate` all walk each thread stream through the same
+//! The collector's `repair`, the offline `salvage_trace`,
+//! `Trace::validate`, window `clip` and the lock, rwlock, barrier and
+//! condvar episode views all walk each thread stream through the same
 //! lock, rwlock, barrier and condvar state machine. A fixed corpus is
 //! enumerated without any RNG: for each stream of a trace that covers
 //! every object kind, every prefix cut and every single-event deletion
@@ -9,13 +10,27 @@
 //! cases — a lock held across an open condvar wait and a lock held
 //! across an open barrier. Each group of cases hashes to one line per
 //! consumer: the repaired trace, the salvaged trace with its report, or
-//! the validation outcome (`ok`, or the error text). The lines must
-//! match `fixtures/protocol_digests.txt` exactly, so any change to what
-//! a consumer keeps, synthesizes or reports shows up as a changed line.
+//! the validation outcome (`ok`, or the error text).
+//!
+//! The window and episode lines run on what the collector clips: the
+//! repaired trace of every case, plus `mixed()` whole and two cases whose
+//! lock invocation straddles a window's leading edge (acquire, contended
+//! event and obtain at distinct timestamps). Each group hashes `clip`
+//! over every window `lo <= hi` whose edges are an event timestamp of
+//! `mixed()` or one tick either side of one, and each episode view over
+//! the unclipped trace.
+//!
+//! The lines must match `fixtures/protocol_digests.txt` exactly, so any
+//! change to what a consumer keeps, synthesizes or reports shows up as a
+//! changed line.
 
+use critlock_analysis::clip;
 use critlock_collector::repair;
 use critlock_trace::salvage::salvage_trace;
-use critlock_trace::{Budget, Event, EventKind, ThreadId, Trace, TraceBuilder};
+use critlock_trace::{
+    barrier_episodes, cond_wait_episodes, lock_episodes, rw_episodes, Budget, Event, EventKind,
+    ThreadId, Trace, TraceBuilder, Ts,
+};
 use std::fmt::Write as _;
 
 const EXPECTED: &str = include_str!("fixtures/protocol_digests.txt");
@@ -112,6 +127,84 @@ fn groups() -> Vec<(String, Vec<Trace>)> {
     groups
 }
 
+/// Thread 1 of `mixed()` replaced by one invocation of `L` whose
+/// acquire (at 5), contended event (at 12, when `contended`) and obtain
+/// (at 15) have distinct timestamps, so window edges fall between them.
+fn straddle(base: &Trace, contended: bool) -> Trace {
+    let lock = base.object_by_name("L").unwrap();
+    let mut events = vec![
+        Event::new(1, EventKind::ThreadStart),
+        Event::new(5, EventKind::LockAcquire { lock }),
+        Event::new(12, EventKind::LockContended { lock }),
+        Event::new(15, EventKind::LockObtain { lock }),
+        Event::new(17, EventKind::LockRelease { lock }),
+        Event::new(22, EventKind::ThreadExit),
+    ];
+    if !contended {
+        events.remove(2);
+    }
+    with_stream(base, 1, events)
+}
+
+/// Every window `lo <= hi` whose edges are an event timestamp of `base`
+/// or one tick either side of one.
+fn windows(base: &Trace) -> Vec<(Ts, Ts)> {
+    let mut edges: Vec<Ts> = base
+        .threads
+        .iter()
+        .flat_map(|s| &s.events)
+        .flat_map(|e| [e.ts.checked_sub(1), Some(e.ts), Some(e.ts + 1)])
+        .flatten()
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut out = Vec::new();
+    for (i, &lo) in edges.iter().enumerate() {
+        out.extend(edges[i..].iter().map(|&hi| (lo, hi)));
+    }
+    out
+}
+
+/// The clip and episode-view lines: each case group repaired, then
+/// `mixed()` whole and each straddle case on a line of its own.
+fn view_lines() -> String {
+    let base = mixed();
+    let windows = windows(&base);
+    let mut inputs: Vec<(String, Vec<Trace>)> = groups()
+        .into_iter()
+        .map(|(name, cases)| (name, cases.iter().map(repair).collect()))
+        .collect();
+    inputs.push(("mixed".into(), vec![base.clone()]));
+    inputs.push(("straddle contended".into(), vec![straddle(&base, true)]));
+    inputs.push(("straddle uncontended".into(), vec![straddle(&base, false)]));
+    let mut lines = String::new();
+    for (name, traces) in inputs {
+        let mut views = [Fnv::new(), Fnv::new(), Fnv::new(), Fnv::new(), Fnv::new()];
+        for trace in &traces {
+            for &(lo, hi) in &windows {
+                views[0].feed(&format!("{:?}", clip(trace, lo, hi)));
+            }
+            views[1].feed(&format!("{:?}", lock_episodes(trace)));
+            views[2].feed(&format!("{:?}", rw_episodes(trace)));
+            views[3].feed(&format!("{:?}", barrier_episodes(trace)));
+            views[4].feed(&format!("{:?}", cond_wait_episodes(trace)));
+        }
+        let n = traces.len();
+        let [clipped, locks, rws, barriers, waits] = views;
+        writeln!(lines, "{name} clip: cases {n} windows {} {:016x}", windows.len(), clipped.0)
+            .unwrap();
+        for (view, digest) in [
+            ("lock_episodes", locks),
+            ("rw_episodes", rws),
+            ("barrier_episodes", barriers),
+            ("cond_wait_episodes", waits),
+        ] {
+            writeln!(lines, "{name} {view}: cases {n} {:016x}", digest.0).unwrap();
+        }
+    }
+    lines
+}
+
 fn digest_lines() -> String {
     let mut lines = String::new();
     for (name, cases) in groups() {
@@ -136,7 +229,7 @@ fn digest_lines() -> String {
 
 #[test]
 fn protocol_consumers_match_pinned_digests() {
-    let actual = digest_lines();
+    let actual = digest_lines() + &view_lines();
     let mismatched: Vec<_> = EXPECTED
         .lines()
         .zip(actual.lines())
