@@ -9,7 +9,7 @@
 //! deciding how to restructure the code.
 
 use crate::segments::SegmentedTrace;
-use critlock_trace::{lock_episodes, rw_episodes, ObjId, ThreadId, Trace, Ts};
+use critlock_trace::{ObjId, ThreadId, Trace, Ts};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -96,12 +96,7 @@ pub fn blocker_report(trace: &Trace) -> BlockerReport {
         }
     };
 
-    for ep in lock_episodes(trace) {
-        if ep.contended {
-            add(ep.tid, ep.lock, ep.obtain, ep.wait_time());
-        }
-    }
-    for ep in rw_episodes(trace) {
+    for ep in crate::metrics::critical_sections(trace) {
         if ep.contended {
             add(ep.tid, ep.lock, ep.obtain, ep.wait_time());
         }

@@ -183,11 +183,13 @@ pub fn critical_path_segmented(trace: &Trace, st: &SegmentedTrace) -> CriticalPa
         };
 
         match next {
-            Next::Jump(target, at) => match st.segment_at(target, at) {
+            // An enabling instant after the segment it enabled is clock
+            // skew; the walk never moves forward in time.
+            Next::Jump(target, at) => match st.segment_at(target, at.min(seg.start)) {
                 Some(tseg) => {
                     tid = target;
                     idx = tseg.index;
-                    upto = at;
+                    upto = at.min(seg.start);
                 }
                 None => {
                     complete = false;
@@ -242,6 +244,24 @@ fn merge_slices(slices: Vec<CpSlice>) -> Vec<CpSlice> {
 mod tests {
     use super::*;
     use critlock_trace::TraceBuilder;
+
+    /// A barrier depart stamped before the last arrival (clock skew): the
+    /// walk jumps to the arriver no later than the depart, so the path
+    /// never overlaps itself.
+    #[test]
+    fn skewed_enabling_instant_does_not_move_the_walk_forward() {
+        let mut b = TraceBuilder::new("skew");
+        let bar = b.barrier("B");
+        let t0 = b.thread("T0", 0);
+        let t1 = b.thread("T1", 0);
+        b.on(t0).work(10).barrier(bar, 0, 12).exit();
+        b.on(t1).work(5).barrier(bar, 0, 9).work(11).exit(); // exits at 20
+        let t = b.build().unwrap();
+        let cp = critical_path(&t);
+        cp.check_tiling(false).unwrap();
+        assert_eq!(cp.slices[0], CpSlice { tid: ThreadId(0), start: 0, end: 9 });
+        assert_eq!(cp.length, 20);
+    }
 
     /// Two threads contending on one lock; the CP is T0's CS followed by
     /// T1's CS and tail.

@@ -8,7 +8,7 @@
 
 use crate::cp::CriticalPath;
 use crate::segments::SegmentedTrace;
-use critlock_trace::{lock_episodes, ObjKind, Trace, Ts};
+use critlock_trace::{ObjKind, Trace, Ts};
 use std::fmt::Write as _;
 
 /// Options for the Gantt renderer.
@@ -50,17 +50,7 @@ pub fn render(trace: &Trace, cp: &CriticalPath, opts: &GanttOptions) -> String {
     };
 
     let st = SegmentedTrace::build(trace);
-    let mut episodes = lock_episodes(trace);
-    episodes.extend(critlock_trace::rw_episodes(trace).into_iter().map(|e| {
-        critlock_trace::LockEpisode {
-            tid: e.tid,
-            lock: e.lock,
-            acquire: e.acquire,
-            obtain: e.obtain,
-            release: e.release,
-            contended: e.contended,
-        }
-    }));
+    let episodes = crate::metrics::critical_sections(trace);
     let mut locks = trace.objects_of_kind(ObjKind::Lock);
     locks.extend(trace.objects_of_kind(ObjKind::RwLock));
 

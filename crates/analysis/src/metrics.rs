@@ -16,8 +16,7 @@
 
 use crate::cp::{CpSlice, CriticalPath};
 use critlock_trace::{
-    lock_episodes, rw_episodes, Anomaly, Budget, LockEpisode, ObjId, SalvageReport, ThreadId,
-    Trace, Ts,
+    lock_and_rw_episodes, Anomaly, Budget, LockEpisode, ObjId, SalvageReport, ThreadId, Trace, Ts,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -196,8 +195,14 @@ pub fn analyze_profiled(trace: &Trace, rec: &critlock_obs::SpanRecorder) -> Anal
 /// read/write mode split is available via
 /// [`critlock_trace::rw_episodes`]).
 pub fn analyze_with(trace: &Trace, cp: &CriticalPath) -> AnalysisReport {
-    let mut episodes = lock_episodes(trace);
-    episodes.extend(rw_episodes(trace).into_iter().map(|e| LockEpisode {
+    analyze_episodes(trace, cp, &critical_sections(trace))
+}
+
+/// Every lock invocation of a trace, then every rwlock invocation as a
+/// plain one, from one episode pass.
+pub(crate) fn critical_sections(trace: &Trace) -> Vec<LockEpisode> {
+    let (mut episodes, rws) = lock_and_rw_episodes(trace);
+    episodes.extend(rws.into_iter().map(|e| LockEpisode {
         tid: e.tid,
         lock: e.lock,
         acquire: e.acquire,
@@ -205,7 +210,7 @@ pub fn analyze_with(trace: &Trace, cp: &CriticalPath) -> AnalysisReport {
         release: e.release,
         contended: e.contended,
     }));
-    analyze_episodes(trace, cp, &episodes)
+    episodes
 }
 
 /// Per-lock accumulator. Every field is an integer sum or count, so

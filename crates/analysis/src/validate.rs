@@ -11,7 +11,7 @@
 
 use crate::cp::CriticalPath;
 use critlock_trace::{
-    barrier_episodes, cond_wait_episodes, join_episodes, lock_episodes, rw_episodes, Anomaly,
+    barrier_episodes, cond_wait_episodes, join_episodes, lock_and_rw_episodes, Anomaly,
     ClockDomain, EventKind, Trace,
 };
 use std::collections::HashMap;
@@ -63,7 +63,8 @@ pub fn check_trace(trace: &Trace) -> Vec<Anomaly> {
 
     // Contended obtains must have an enabling release by another thread.
     let st = crate::segments::SegmentedTrace::build(trace);
-    for ep in lock_episodes(trace) {
+    let (lock_eps, rw_eps) = lock_and_rw_episodes(trace);
+    for ep in &lock_eps {
         if ep.contended && st.latest_release_before(ep.lock, ep.obtain, ep.tid).is_none() {
             warnings.push(Anomaly::OrphanContendedObtain {
                 tid: ep.tid,
@@ -73,7 +74,7 @@ pub fn check_trace(trace: &Trace) -> Vec<Anomaly> {
             });
         }
     }
-    for ep in rw_episodes(trace) {
+    for ep in &rw_eps {
         if ep.contended && st.latest_release_before(ep.lock, ep.obtain, ep.tid).is_none() {
             warnings.push(Anomaly::OrphanContendedObtain {
                 tid: ep.tid,
@@ -87,7 +88,7 @@ pub fn check_trace(trace: &Trace) -> Vec<Anomaly> {
     // Mutual exclusion: hold intervals of the same lock must not overlap
     // across threads (zero-length touching at handoff points is fine).
     let mut holds: HashMap<critlock_trace::ObjId, Vec<(u64, u64, u32)>> = HashMap::new();
-    for ep in lock_episodes(trace) {
+    for ep in &lock_eps {
         holds.entry(ep.lock).or_default().push((ep.obtain, ep.release, ep.tid.0));
     }
     for (lock, mut ivs) in holds {
@@ -110,7 +111,7 @@ pub fn check_trace(trace: &Trace) -> Vec<Anomaly> {
     // Reader-writer exclusion: a write hold may not overlap any other
     // hold of the same rwlock.
     let mut rw_holds: HashMap<critlock_trace::ObjId, Vec<(u64, u64, bool, u32)>> = HashMap::new();
-    for ep in rw_episodes(trace) {
+    for ep in &rw_eps {
         rw_holds.entry(ep.lock).or_default().push((ep.obtain, ep.release, ep.write, ep.tid.0));
     }
     for (lock, mut ivs) in rw_holds {

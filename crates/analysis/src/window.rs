@@ -2,10 +2,12 @@
 //!
 //! The paper profiles "the parallel phase of Radiosity" (§V.D), not the
 //! whole process: initialization and teardown would dilute every
-//! statistic. This module clips a trace to a time window — repairing the
+//! statistic. [`clip`] cuts a trace to a time window — repairing the
 //! event protocol at the cut edges — so the standard analysis can run on
 //! any phase, typically delimited by [`critlock_trace::EventKind::Marker`]
-//! events.
+//! events. Its stream pass lives in `critlock_trace::salvage`, beside
+//! repair, and drives the same per-thread protocol machine: the machine
+//! stepped up to `lo` holds exactly what crosses the leading edge.
 //!
 //! Clip semantics at the window edges:
 //!
@@ -14,202 +16,27 @@
 //! * locks (and rwlocks) held across the leading edge get synthetic
 //!   acquire/obtain records at the window start, so their in-window hold
 //!   time is preserved;
-//! * waits still pending at the trailing edge are dropped (their blocked
-//!   time has no enabling release inside the window);
-//! * barrier arrivals pending at the trailing edge depart at the window
-//!   end, keeping episodes consistent across threads.
+//! * an acquisition that crosses the leading edge is re-issued at the
+//!   window start in the phase it had reached: acquire only while it has
+//!   not blocked, acquire plus contended event once it has (unless it is
+//!   obtained exactly at the window start), so the window neither loses
+//!   nor invents contention;
+//! * barrier arrivals pending at the leading edge re-arrive at the window
+//!   start; the wakeup of a condvar wait, or the end of a join, begun
+//!   before the window is dropped;
+//! * acquisitions, waits and joins still pending at the trailing edge are
+//!   dropped (their blocked time has no enabling release inside the
+//!   window);
+//! * locks held at the trailing edge are released there, innermost
+//!   first, and barrier arrivals pending there depart at the window end,
+//!   keeping episodes consistent across threads.
 
 use crate::digest::digest_window;
 use crate::metrics::{analyze, AnalysisReport};
 use critlock_trace::rollup::WindowDigest;
-use critlock_trace::{Event, EventKind, ObjId, ThreadStream, Trace, Ts};
+pub use critlock_trace::salvage::clip;
+use critlock_trace::{EventKind, Trace, Ts};
 use std::collections::VecDeque;
-
-/// Clip a trace to the window `[lo, hi]`.
-pub fn clip(trace: &Trace, lo: Ts, hi: Ts) -> Trace {
-    assert!(lo <= hi, "window must be ordered");
-    let mut out = Trace::new(trace.meta.clone());
-    out.meta.params.insert("window_lo".into(), lo.to_string());
-    out.meta.params.insert("window_hi".into(), hi.to_string());
-    out.objects = trace.objects.clone();
-    for stream in &trace.threads {
-        out.threads.push(clip_stream(stream, lo, hi));
-    }
-    out
-}
-
-fn clip_stream(stream: &ThreadStream, lo: Ts, hi: Ts) -> ThreadStream {
-    let mut cs = ThreadStream::new(stream.tid);
-    cs.name = stream.name.clone();
-
-    let (Some(start), Some(end)) = (stream.start_ts(), stream.end_ts()) else {
-        return cs;
-    };
-    // Entirely outside the window: an empty stream keeps ids dense.
-    if end < lo || start > hi {
-        return cs;
-    }
-
-    // Pass 1: pre-window state. Held locks in obtain order.
-    let mut held: Vec<(ObjId, bool, bool)> = Vec::new(); // (lock, write, is_rw)
-    let mut in_barrier: Option<(ObjId, u32)> = None;
-    let mut in_wait = false;
-    let mut first_in_window = stream.events.len();
-    for (i, ev) in stream.events.iter().enumerate() {
-        if ev.ts >= lo {
-            first_in_window = i;
-            break;
-        }
-        match ev.kind {
-            EventKind::LockObtain { lock } => held.push((lock, false, false)),
-            EventKind::RwObtain { lock, write } => held.push((lock, write, true)),
-            EventKind::LockRelease { lock } | EventKind::RwRelease { lock, .. } => {
-                if let Some(pos) = held.iter().rposition(|&(l, _, _)| l == lock) {
-                    held.remove(pos);
-                }
-            }
-            EventKind::BarrierArrive { barrier, epoch } => in_barrier = Some((barrier, epoch)),
-            EventKind::BarrierDepart { .. } => in_barrier = None,
-            EventKind::CondWaitBegin { .. } => in_wait = true,
-            EventKind::CondWakeup { .. } => in_wait = false,
-            _ => {}
-        }
-    }
-
-    // Prologue: re-materialize carried-in state at the leading edge.
-    let mut body: Vec<Event> = Vec::new();
-    for &(lock, write, is_rw) in &held {
-        if is_rw {
-            body.push(Event::new(lo, EventKind::RwAcquire { lock, write }));
-            body.push(Event::new(lo, EventKind::RwObtain { lock, write }));
-        } else {
-            body.push(Event::new(lo, EventKind::LockAcquire { lock }));
-            body.push(Event::new(lo, EventKind::LockObtain { lock }));
-        }
-    }
-    if let Some((barrier, epoch)) = in_barrier {
-        body.push(Event::new(lo, EventKind::BarrierArrive { barrier, epoch }));
-    }
-
-    // Pass 2: in-window events. Pending blocking prologues are tracked by
-    // body index so they can be dropped if their completion lies past hi.
-    let mut pending_acq: Vec<(ObjId, Vec<usize>)> = Vec::new();
-    let mut pending_wait: Option<Vec<usize>> = None;
-    let mut pending_join: Option<usize> = None;
-
-    for ev in &stream.events[first_in_window..] {
-        if ev.ts > hi {
-            break;
-        }
-        match ev.kind {
-            EventKind::ThreadStart | EventKind::ThreadExit => {
-                // Re-synthesized at the boundaries below.
-                continue;
-            }
-            EventKind::LockAcquire { lock } | EventKind::RwAcquire { lock, .. } => {
-                pending_acq.push((lock, vec![body.len()]));
-            }
-            EventKind::LockContended { lock } | EventKind::RwContended { lock, .. } => {
-                if let Some(p) = pending_acq.iter_mut().rev().find(|p| p.0 == lock) {
-                    p.1.push(body.len());
-                }
-            }
-            EventKind::LockObtain { lock } => {
-                if let Some(pos) = pending_acq.iter().rposition(|p| p.0 == lock) {
-                    pending_acq.remove(pos);
-                } else {
-                    // Requested before the window: the wait crossed the
-                    // leading edge, so the request is re-issued at lo.
-                    body.push(Event::new(lo, EventKind::LockAcquire { lock }));
-                    if ev.ts > lo {
-                        body.push(Event::new(lo, EventKind::LockContended { lock }));
-                    }
-                }
-                held.push((lock, false, false));
-            }
-            EventKind::RwObtain { lock, write } => {
-                if let Some(pos) = pending_acq.iter().rposition(|p| p.0 == lock) {
-                    pending_acq.remove(pos);
-                } else {
-                    body.push(Event::new(lo, EventKind::RwAcquire { lock, write }));
-                    if ev.ts > lo {
-                        body.push(Event::new(lo, EventKind::RwContended { lock, write }));
-                    }
-                }
-                held.push((lock, write, true));
-            }
-            EventKind::LockRelease { lock } | EventKind::RwRelease { lock, .. } => {
-                if let Some(pos) = held.iter().rposition(|&(l, _, _)| l == lock) {
-                    held.remove(pos);
-                }
-            }
-            EventKind::BarrierArrive { barrier, epoch } => {
-                in_barrier = Some((barrier, epoch));
-            }
-            EventKind::BarrierDepart { .. } => {
-                in_barrier = None;
-            }
-            EventKind::CondWaitBegin { .. } => {
-                pending_wait = Some(vec![body.len()]);
-                in_wait = true;
-            }
-            EventKind::CondWakeup { .. } => {
-                if in_wait && pending_wait.is_none() {
-                    // Wait began before the window; represent the resume as
-                    // plain running time (no wait-begin edge available).
-                    in_wait = false;
-                    continue;
-                }
-                pending_wait = None;
-                in_wait = false;
-            }
-            EventKind::JoinBegin { .. } => pending_join = Some(body.len()),
-            EventKind::JoinEnd { .. } if pending_join.take().is_none() => continue,
-            EventKind::JoinEnd { .. } => {}
-            _ => {}
-        }
-        body.push(*ev);
-    }
-
-    // Trailing repairs: drop pending blocking prologues whose completion
-    // lies beyond the window.
-    let mut drop_idx: Vec<usize> = Vec::new();
-    for (_, idxs) in pending_acq {
-        drop_idx.extend(idxs);
-    }
-    if let Some(idxs) = pending_wait {
-        drop_idx.extend(idxs);
-    }
-    if let Some(idx) = pending_join {
-        drop_idx.push(idx);
-    }
-    drop_idx.sort_unstable();
-    for idx in drop_idx.into_iter().rev() {
-        body.remove(idx);
-    }
-
-    // Assemble with boundary lifecycle events.
-    let w_start = start.max(lo);
-    let w_end = end.min(hi).max(w_start);
-    let mut events = Vec::with_capacity(body.len() + held.len() + 4);
-    events.push(Event::new(w_start, EventKind::ThreadStart));
-    events.extend(body);
-    // Close holds still open at the trailing edge.
-    for &(lock, write, is_rw) in held.iter().rev() {
-        let kind = if is_rw {
-            EventKind::RwRelease { lock, write }
-        } else {
-            EventKind::LockRelease { lock }
-        };
-        events.push(Event::new(w_end, kind));
-    }
-    if let Some((barrier, epoch)) = in_barrier {
-        events.push(Event::new(w_end, EventKind::BarrierDepart { barrier, epoch }));
-    }
-    events.push(Event::new(w_end, EventKind::ThreadExit));
-    cs.events = events;
-    cs
-}
 
 /// A bounded ring of *closed* sliding-window digests over a live trace.
 ///
@@ -458,6 +285,67 @@ mod tests {
         // Only T0's (clipped) hold remains.
         assert_eq!(eps.len(), 1);
         assert_eq!(eps[0].tid, critlock_trace::ThreadId(0));
+    }
+
+    #[test]
+    fn clip_keeps_the_phase_of_acquisitions_crossing_the_leading_edge() {
+        // T1 asks for L at 5 while T0 holds it, blocks at 12 and gets it
+        // at 15; T2 asks for M at 5 and gets it at 15 without blocking.
+        // Each window's leading edge falls between two of those events.
+        let mut t = Trace::new(critlock_trace::TraceMeta::named("straddle"));
+        let l = t.register_object(critlock_trace::ObjKind::Lock, "L");
+        let m = t.register_object(critlock_trace::ObjKind::Lock, "M");
+        let stream = |tid: u32, events: &[(Ts, EventKind)]| {
+            let mut s = critlock_trace::ThreadStream::new(critlock_trace::ThreadId(tid));
+            s.events =
+                events.iter().map(|&(ts, kind)| critlock_trace::Event::new(ts, kind)).collect();
+            s
+        };
+        t.push_thread(stream(
+            0,
+            &[
+                (0, EventKind::ThreadStart),
+                (0, EventKind::LockAcquire { lock: l }),
+                (0, EventKind::LockObtain { lock: l }),
+                (15, EventKind::LockRelease { lock: l }),
+                (30, EventKind::ThreadExit),
+            ],
+        ));
+        t.push_thread(stream(
+            1,
+            &[
+                (0, EventKind::ThreadStart),
+                (5, EventKind::LockAcquire { lock: l }),
+                (12, EventKind::LockContended { lock: l }),
+                (15, EventKind::LockObtain { lock: l }),
+                (20, EventKind::LockRelease { lock: l }),
+                (30, EventKind::ThreadExit),
+            ],
+        ));
+        t.push_thread(stream(
+            2,
+            &[
+                (0, EventKind::ThreadStart),
+                (5, EventKind::LockAcquire { lock: m }),
+                (15, EventKind::LockObtain { lock: m }),
+                (20, EventKind::LockRelease { lock: m }),
+                (30, EventKind::ThreadExit),
+            ],
+        ));
+        t.validate().unwrap();
+        assert!(crate::validate::check_trace(&t).is_empty());
+        let source = critlock_trace::lock_episodes(&t);
+        for lo in [10, 13] {
+            let c = clip(&t, lo, 25);
+            c.validate().unwrap_or_else(|e| panic!("clip at {lo}: {e}"));
+            let clipped = critlock_trace::lock_episodes(&c);
+            assert_eq!(clipped.len(), source.len(), "clip at {lo}");
+            for ep in &clipped {
+                let src = source.iter().find(|s| (s.tid, s.lock) == (ep.tid, ep.lock)).unwrap();
+                assert_eq!(ep.contended, src.contended, "clip at {lo}: {ep:?}");
+            }
+            assert_eq!(crate::validate::check_trace(&c), [], "clip at {lo}");
+        }
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub use builder::TraceBuilder;
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointDoc, WindowCheckpoint};
 pub use codec::{EventRef, RawEventIter, RawThread, RawTraceView};
 pub use episodes::{
-    barrier_episodes, cond_wait_episodes, join_episodes, lock_episodes, rw_episodes,
-    signal_records, BarrierEpisode, CondWaitEpisode, JoinEpisode, LockEpisode, RwEpisode,
-    SignalRecord,
+    barrier_episodes, cond_wait_episodes, join_episodes, lock_and_rw_episodes, lock_episodes,
+    rw_episodes, signal_records, BarrierEpisode, CondWaitEpisode, JoinEpisode, LockEpisode,
+    RwEpisode, SignalRecord,
 };
 pub use error::{Result, TraceError};
 pub use event::{Event, EventKind, Ts, SEQ_UNKNOWN};

@@ -270,22 +270,34 @@ proptest! {
         cut in (0u64..100, 0u64..100),
     ) {
         let trace = build_and_run(&w, MachineConfig::ideal().with_seed(w.seed));
-        let span = trace.makespan().max(1);
-        let lo = trace.start_ts() + span * cut.0.min(cut.1) / 100;
-        let hi = trace.start_ts() + span * cut.0.max(cut.1) / 100;
-        let clipped = critlock::analysis::clip(&trace, lo, hi);
-        clipped.validate().expect("clipped trace well-formed");
-        prop_assert!(clipped.makespan() <= hi - lo);
-        // The clipped trace analyzes without panicking and the walk stays
-        // inside the window.
-        let cp = critical_path(&clipped);
-        prop_assert!(cp.length <= clipped.makespan());
-        for s in &cp.slices {
-            prop_assert!(s.start >= lo && s.end <= hi);
+        // The simulator gives acquire, contended event and obtain one
+        // timestamp. Spreading each stream's i-th event to `ts * k + i`
+        // keeps every stream monotone but puts window edges between them.
+        let mut spread = trace.clone();
+        let k = trace.threads.iter().map(|s| s.events.len() as u64).max().unwrap_or(0) + 1;
+        for stream in &mut spread.threads {
+            for (i, ev) in stream.events.iter_mut().enumerate() {
+                ev.ts = ev.ts * k + i as u64;
+            }
         }
-        let rep = analyze(&clipped);
-        for l in &rep.locks {
-            prop_assert!(l.cp_time <= cp.length.max(1));
+        for trace in [trace, spread] {
+            let span = trace.makespan().max(1);
+            let lo = trace.start_ts() + span * cut.0.min(cut.1) / 100;
+            let hi = trace.start_ts() + span * cut.0.max(cut.1) / 100;
+            let clipped = critlock::analysis::clip(&trace, lo, hi);
+            clipped.validate().expect("clipped trace well-formed");
+            prop_assert!(clipped.makespan() <= hi - lo);
+            // The clipped trace analyzes without panicking and the walk
+            // stays inside the window.
+            let cp = critical_path(&clipped);
+            prop_assert!(cp.length <= clipped.makespan());
+            for s in &cp.slices {
+                prop_assert!(s.start >= lo && s.end <= hi);
+            }
+            let rep = analyze(&clipped);
+            for l in &rep.locks {
+                prop_assert!(l.cp_time <= cp.length.max(1));
+            }
         }
     }
 
