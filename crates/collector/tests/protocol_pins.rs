@@ -1,9 +1,9 @@
 //! Pinned outputs of the consumers of the per-thread sync protocol.
 //!
 //! The collector's `repair`, the offline `salvage_trace`,
-//! `Trace::validate`, window `clip` and the lock, rwlock, barrier and
-//! condvar episode views all walk each thread stream through the same
-//! lock, rwlock, barrier and condvar state machine. A fixed corpus is
+//! `Trace::validate`, window `clip`, the episode views and segment
+//! construction all walk each thread stream through the same lock,
+//! rwlock, barrier and condvar state machine. A fixed corpus is
 //! enumerated without any RNG: for each stream of a trace that covers
 //! every object kind, every prefix cut and every single-event deletion
 //! of that stream (the other streams left whole), plus two nested-close
@@ -17,19 +17,21 @@
 //! lock invocation straddles a window's leading edge (acquire, contended
 //! event and obtain at distinct timestamps). Each group hashes `clip`
 //! over every window `lo <= hi` whose edges are an event timestamp of
-//! `mixed()` or one tick either side of one, and each episode view over
-//! the unclipped trace.
+//! `mixed()` or one tick either side of one, each episode view over the
+//! unclipped trace, and its segments: every thread's segment list with
+//! start causes, plus every release, signal, arrival, create and exit
+//! lookup at each event timestamp or one tick either side of one.
 //!
 //! The lines must match `fixtures/protocol_digests.txt` exactly, so any
 //! change to what a consumer keeps, synthesizes or reports shows up as a
 //! changed line.
 
-use critlock_analysis::clip;
+use critlock_analysis::{clip, SegmentedTrace};
 use critlock_collector::repair;
 use critlock_trace::salvage::salvage_trace;
 use critlock_trace::{
-    barrier_episodes, cond_wait_episodes, lock_episodes, rw_episodes, Budget, Event, EventKind,
-    ThreadId, Trace, TraceBuilder, Ts,
+    barrier_episodes, cond_wait_episodes, join_episodes, lock_episodes, rw_episodes, Budget, Event,
+    EventKind, ObjId, ThreadId, Trace, TraceBuilder, Ts, SEQ_UNKNOWN,
 };
 use std::fmt::Write as _;
 
@@ -165,7 +167,40 @@ fn windows(base: &Trace) -> Vec<(Ts, Ts)> {
     out
 }
 
-/// The clip and episode-view lines: each case group repaired, then
+/// Every thread's segments, then what each lookup of the segmented
+/// trace answers at each event timestamp or one tick either side of one.
+fn segments(trace: &Trace) -> String {
+    let st = SegmentedTrace::build(trace);
+    let tids: Vec<_> = (0..=trace.threads.len() as u32).map(ThreadId).collect();
+    let mut at: Vec<Ts> = trace
+        .threads
+        .iter()
+        .flat_map(|s| &s.events)
+        .flat_map(|e| [e.ts.saturating_sub(1), e.ts, e.ts + 1])
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    let mut out = format!("{:?}", st.iter_threads().collect::<Vec<_>>());
+    for obj in (0..trace.objects.len() as u32).map(ObjId) {
+        for epoch in 0..2 {
+            write!(out, " {:?}", st.last_arriver(obj, epoch)).unwrap();
+        }
+        for &ts in &at {
+            for &tid in &tids {
+                write!(out, " {:?}", st.latest_release_before(obj, ts, tid)).unwrap();
+                for seq in [0, 1, 2, SEQ_UNKNOWN] {
+                    write!(out, " {:?}", st.matching_signal(obj, seq, ts, tid)).unwrap();
+                }
+            }
+        }
+    }
+    for &tid in &tids {
+        write!(out, " {:?} {:?}", st.creator_of(tid), st.exit_ts(tid)).unwrap();
+    }
+    out
+}
+
+/// The clip, episode-view and segment lines: each case group repaired, then
 /// `mixed()` whole and each straddle case on a line of its own.
 fn view_lines() -> String {
     let base = mixed();
@@ -179,7 +214,7 @@ fn view_lines() -> String {
     inputs.push(("straddle uncontended".into(), vec![straddle(&base, false)]));
     let mut lines = String::new();
     for (name, traces) in inputs {
-        let mut views = [Fnv::new(), Fnv::new(), Fnv::new(), Fnv::new(), Fnv::new()];
+        let mut views = [(); 7].map(|()| Fnv::new());
         for trace in &traces {
             for &(lo, hi) in &windows {
                 views[0].feed(&format!("{:?}", clip(trace, lo, hi)));
@@ -188,9 +223,11 @@ fn view_lines() -> String {
             views[2].feed(&format!("{:?}", rw_episodes(trace)));
             views[3].feed(&format!("{:?}", barrier_episodes(trace)));
             views[4].feed(&format!("{:?}", cond_wait_episodes(trace)));
+            views[5].feed(&format!("{:?}", join_episodes(trace)));
+            views[6].feed(&segments(trace));
         }
         let n = traces.len();
-        let [clipped, locks, rws, barriers, waits] = views;
+        let [clipped, locks, rws, barriers, waits, joins, segs] = views;
         writeln!(lines, "{name} clip: cases {n} windows {} {:016x}", windows.len(), clipped.0)
             .unwrap();
         for (view, digest) in [
@@ -198,6 +235,8 @@ fn view_lines() -> String {
             ("rw_episodes", rws),
             ("barrier_episodes", barriers),
             ("cond_wait_episodes", waits),
+            ("join_episodes", joins),
+            ("segments", segs),
         ] {
             writeln!(lines, "{name} {view}: cases {n} {:016x}", digest.0).unwrap();
         }
