@@ -9,7 +9,7 @@
 //! deciding how to restructure the code.
 
 use crate::segments::SegmentedTrace;
-use critlock_trace::{ObjId, ThreadId, Trace, Ts};
+use critlock_trace::{LockEpisode, ObjId, ThreadId, Trace, Ts};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -96,9 +96,11 @@ pub fn blocker_report(trace: &Trace) -> BlockerReport {
         }
     };
 
-    for ep in crate::metrics::critical_sections(trace) {
-        if ep.contended {
-            add(ep.tid, ep.lock, ep.obtain, ep.wait_time());
+    for (locks, rws) in st.iter_invocations() {
+        for ep in locks.iter().copied().chain(rws.iter().map(|&e| LockEpisode::from(e))) {
+            if ep.contended {
+                add(ep.tid, ep.lock, ep.obtain, ep.wait_time());
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::cp::CriticalPath;
 use crate::segments::SegmentedTrace;
-use critlock_trace::{ObjKind, Trace, Ts};
+use critlock_trace::{LockEpisode, ObjKind, Trace, Ts};
 use std::fmt::Write as _;
 
 /// Options for the Gantt renderer.
@@ -39,8 +39,14 @@ fn lock_letter(i: usize) -> char {
     }
 }
 
-/// Render the execution as an ASCII Gantt chart.
-pub fn render(trace: &Trace, cp: &CriticalPath, opts: &GanttOptions) -> String {
+/// Render the execution as an ASCII Gantt chart from the segmented trace
+/// its critical path was walked on.
+pub fn render(
+    trace: &Trace,
+    st: &SegmentedTrace,
+    cp: &CriticalPath,
+    opts: &GanttOptions,
+) -> String {
     let width = opts.width.max(10);
     let t0 = trace.start_ts();
     let t1 = trace.end_ts();
@@ -49,8 +55,6 @@ pub fn render(trace: &Trace, cp: &CriticalPath, opts: &GanttOptions) -> String {
         (((ts - t0) as u128 * width as u128) / span as u128).min(width as u128 - 1) as usize
     };
 
-    let st = SegmentedTrace::build(trace);
-    let episodes = crate::metrics::critical_sections(trace);
     let mut locks = trace.objects_of_kind(ObjKind::Lock);
     locks.extend(trace.objects_of_kind(ObjKind::RwLock));
 
@@ -82,8 +86,10 @@ pub fn render(trace: &Trace, cp: &CriticalPath, opts: &GanttOptions) -> String {
                 *c = '-';
             }
         }
-        // Critical sections overlay; later (inner) episodes win.
-        for ep in episodes.iter().filter(|e| e.tid == tid) {
+        // Critical sections overlay, locks then rwlocks; later (inner)
+        // episodes win.
+        let (lock_eps, rw_eps) = st.invocations(tid);
+        for ep in lock_eps.iter().copied().chain(rw_eps.iter().map(|&e| LockEpisode::from(e))) {
             if ep.hold_time() == 0 {
                 continue;
             }
@@ -117,7 +123,7 @@ pub fn render(trace: &Trace, cp: &CriticalPath, opts: &GanttOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cp::critical_path;
+    use crate::cp::critical_path_segmented;
     use critlock_trace::TraceBuilder;
 
     fn sample() -> Trace {
@@ -134,8 +140,9 @@ mod tests {
     #[test]
     fn render_has_all_thread_rows() {
         let t = sample();
-        let cp = critical_path(&t);
-        let s = render(&t, &cp, &GanttOptions::default());
+        let st = SegmentedTrace::build(&t);
+        let cp = critical_path_segmented(&t, &st);
+        let s = render(&t, &st, &cp, &GanttOptions::default());
         assert!(s.contains("T0 |"));
         assert!(s.contains("T1 |"));
         assert!(s.contains("cp |"));
@@ -146,8 +153,9 @@ mod tests {
     #[test]
     fn activity_letters_present() {
         let t = sample();
-        let cp = critical_path(&t);
-        let s = render(&t, &cp, &GanttOptions { width: 45, show_cp: true });
+        let st = SegmentedTrace::build(&t);
+        let cp = critical_path_segmented(&t, &st);
+        let s = render(&t, &st, &cp, &GanttOptions { width: 45, show_cp: true });
         let t0_row = s.lines().find(|l| l.starts_with("T0 ")).unwrap();
         assert!(t0_row.contains('a'));
         assert!(t0_row.contains('b'));
@@ -159,8 +167,9 @@ mod tests {
     #[test]
     fn cp_rows_cover_whole_span() {
         let t = sample();
-        let cp = critical_path(&t);
-        let s = render(&t, &cp, &GanttOptions { width: 45, show_cp: true });
+        let st = SegmentedTrace::build(&t);
+        let cp = critical_path_segmented(&t, &st);
+        let s = render(&t, &st, &cp, &GanttOptions { width: 45, show_cp: true });
         // Union of '=' across cp rows should be most of the width (the CP
         // tiles the makespan).
         let mut covered = [false; 45];
@@ -179,8 +188,9 @@ mod tests {
     #[test]
     fn no_cp_option() {
         let t = sample();
-        let cp = critical_path(&t);
-        let s = render(&t, &cp, &GanttOptions { width: 40, show_cp: false });
+        let st = SegmentedTrace::build(&t);
+        let cp = critical_path_segmented(&t, &st);
+        let s = render(&t, &st, &cp, &GanttOptions { width: 40, show_cp: false });
         assert!(!s.contains("cp |"));
     }
 

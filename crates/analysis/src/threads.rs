@@ -71,10 +71,9 @@ impl ThreadReport {
     }
 }
 
-/// Compute per-thread criticality for a trace and its critical path.
-pub fn thread_report(trace: &Trace, cp: &CriticalPath) -> ThreadReport {
-    let st = SegmentedTrace::build(trace);
-
+/// Compute per-thread criticality for a trace and its critical path,
+/// from the segmented trace the path was walked on.
+pub fn thread_report(trace: &Trace, st: &SegmentedTrace, cp: &CriticalPath) -> ThreadReport {
     let mut threads: Vec<ThreadCriticality> = trace
         .threads
         .iter()
@@ -105,7 +104,7 @@ pub fn thread_report(trace: &Trace, cp: &CriticalPath) -> ThreadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cp::critical_path;
+    use crate::cp::critical_path_segmented;
     use critlock_trace::TraceBuilder;
 
     #[test]
@@ -117,8 +116,9 @@ mod tests {
         b.on(t0).cs(l, 4).exit_at(5);
         b.on(t1).work(1).cs_blocked(l, 4, 2).work(3).exit(); // exit 9
         let t = b.build().unwrap();
-        let cp = critical_path(&t);
-        let rep = thread_report(&t, &cp);
+        let st = SegmentedTrace::build(&t);
+        let cp = critical_path_segmented(&t, &st);
+        let rep = thread_report(&t, &st, &cp);
         let total: u64 = rep.threads.iter().map(|t| t.cp_time).sum();
         assert_eq!(total, cp.length);
         assert_eq!(rep.carriers, 2);
@@ -136,8 +136,9 @@ mod tests {
         b.on(t0).work(5).exit();
         b.on(t1).work(50).exit();
         let t = b.build().unwrap();
-        let cp = critical_path(&t);
-        let rep = thread_report(&t, &cp);
+        let st = SegmentedTrace::build(&t);
+        let cp = critical_path_segmented(&t, &st);
+        let rep = thread_report(&t, &st, &cp);
         assert_eq!(rep.carriers, 1);
         let top = rep.top().unwrap();
         assert_eq!(top.name.as_deref(), Some("long"));
@@ -158,8 +159,9 @@ mod tests {
         b.on(t0).cs(l, 10).exit_at(10);
         b.on(t1).cs_blocked(l, 10, 2).exit(); // blocked [0,10], runs [10,12]
         let t = b.build().unwrap();
-        let cp = critical_path(&t);
-        let rep = thread_report(&t, &cp);
+        let st = SegmentedTrace::build(&t);
+        let cp = critical_path_segmented(&t, &st);
+        let rep = thread_report(&t, &st, &cp);
         let t1r = rep.threads.iter().find(|t| t.tid == critlock_trace::ThreadId(1)).unwrap();
         assert_eq!(t1r.busy, 2);
         assert!((t1r.busy_frac - 2.0 / 12.0).abs() < 1e-9);

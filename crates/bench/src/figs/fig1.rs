@@ -1,15 +1,17 @@
 //! Fig. 1 — the paper's illustrative execution, analyzed exactly.
 
 use crate::{pct, Artifact, Table};
+use critlock_analysis::cp::critical_path_segmented;
 use critlock_analysis::gantt::{render as gantt, GanttOptions};
-use critlock_analysis::{analyze, critical_path};
+use critlock_analysis::{analyze, SegmentedTrace};
 use critlock_workloads::fig1_trace;
 use std::fmt::Write as _;
 
 /// Generate the Fig. 1 artifact.
 pub fn generate() -> Artifact {
     let trace = fig1_trace();
-    let cp = critical_path(&trace);
+    let st = SegmentedTrace::build(&trace);
+    let cp = critical_path_segmented(&trace, &st);
     let rep = analyze(&trace);
 
     let mut body = String::new();
@@ -21,7 +23,7 @@ pub fn generate() -> Artifact {
         cp.complete
     );
     let _ = writeln!(body);
-    body.push_str(&gantt(&trace, &cp, &GanttOptions { width: 66, show_cp: true }));
+    body.push_str(&gantt(&trace, &st, &cp, &GanttOptions { width: 66, show_cp: true }));
     let _ = writeln!(body);
 
     let mut t =

@@ -2,8 +2,9 @@
 //! validation and execution Gantt.
 
 use crate::{pct, Artifact, Table};
+use critlock_analysis::cp::critical_path_segmented;
 use critlock_analysis::gantt::{render as gantt, GanttOptions};
-use critlock_analysis::{analyze, critical_path};
+use critlock_analysis::{analyze, SegmentedTrace};
 use critlock_workloads::{micro, WorkloadCfg};
 use std::fmt::Write as _;
 
@@ -66,8 +67,9 @@ pub fn generate_fig6() -> Artifact {
 /// Fig. 7: the micro-benchmark execution rendered as a Gantt chart.
 pub fn generate_fig7() -> Artifact {
     let trace = micro::run(&cfg4()).expect("micro runs");
-    let cp = critical_path(&trace);
-    let mut body = gantt(&trace, &cp, &GanttOptions { width: 72, show_cp: true });
+    let st = SegmentedTrace::build(&trace);
+    let cp = critical_path_segmented(&trace, &st);
+    let mut body = gantt(&trace, &st, &cp, &GanttOptions { width: 72, show_cp: true });
     let _ = writeln!(
         body,
         "\nL1's idleness is overlapped by the critical path, which CS2 \

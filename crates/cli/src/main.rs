@@ -23,10 +23,11 @@
 
 mod args;
 
+use critlock_analysis::cp::critical_path_segmented;
 use critlock_analysis::report::{render_csv, render_text, to_json, RenderOptions};
 use critlock_analysis::{
-    analyze, analyze_phase, blocker_report, critical_path, online_analyze, project_shrink,
-    thread_report,
+    analyze, analyze_phase, blocker_report, online_analyze, project_shrink, thread_report,
+    SegmentedTrace,
 };
 use critlock_trace::Trace;
 use critlock_workloads::{suite, WorkloadCfg};
@@ -420,8 +421,9 @@ fn cmd_blockers(p: &args::Parsed) -> Result<String, String> {
 
 fn cmd_threads(p: &args::Parsed) -> Result<String, String> {
     let trace = load_trace(p.positional(0, "trace file")?)?;
-    let cp = critical_path(&trace);
-    let rep = thread_report(&trace, &cp);
+    let st = SegmentedTrace::build(&trace);
+    let cp = critical_path_segmented(&trace, &st);
+    let rep = thread_report(&trace, &st, &cp);
     let mut out = rep.render_text();
     out.push_str(&format!(
         "\n{} of {} threads carry part of the critical path\n",
@@ -433,10 +435,12 @@ fn cmd_threads(p: &args::Parsed) -> Result<String, String> {
 
 fn cmd_gantt(p: &args::Parsed) -> Result<String, String> {
     let trace = load_trace(p.positional(0, "trace file")?)?;
-    let cp = critical_path(&trace);
+    let st = SegmentedTrace::build(&trace);
+    let cp = critical_path_segmented(&trace, &st);
     let width: usize = p.get_or("width", 100usize)?;
     Ok(critlock_analysis::gantt::render(
         &trace,
+        &st,
         &cp,
         &critlock_analysis::gantt::GanttOptions { width, show_cp: true },
     ))

@@ -6,17 +6,19 @@
 //! cargo run --example fig1_walkthrough
 //! ```
 
+use critlock::analysis::cp::critical_path_segmented;
 use critlock::analysis::gantt::{render, GanttOptions};
 use critlock::analysis::report::{render_text, RenderOptions};
-use critlock::analysis::{analyze, critical_path, rank_targets, rank_targets_by_wait};
+use critlock::analysis::{analyze, rank_targets, rank_targets_by_wait, SegmentedTrace};
 use critlock::workloads::fig1_trace;
 
 fn main() {
     let trace = fig1_trace();
-    let cp = critical_path(&trace);
+    let st = SegmentedTrace::build(&trace);
+    let cp = critical_path_segmented(&trace, &st);
 
     println!("The execution of Fig. 1 (four threads, locks L1..L4):\n");
-    println!("{}", render(&trace, &cp, &GanttOptions { width: 66, show_cp: true }));
+    println!("{}", render(&trace, &st, &cp, &GanttOptions { width: 66, show_cp: true }));
 
     let report = analyze(&trace);
     println!("{}", render_text(&report, &RenderOptions::default()));

@@ -71,6 +71,21 @@ fn build_and_run(w: &Workload, machine: MachineConfig) -> Trace {
     sim.run().expect("generated workload must run")
 }
 
+/// `trace` with each stream's i-th event moved to `ts * k + i`, k the
+/// longest stream plus one. The simulator gives acquire, contended event
+/// and obtain one timestamp; the spread keeps every stream monotone but
+/// pulls them apart.
+fn spread(trace: &Trace) -> Trace {
+    let mut spread = trace.clone();
+    let k = trace.threads.iter().map(|s| s.events.len() as u64).max().unwrap_or(0) + 1;
+    for stream in &mut spread.threads {
+        for (i, ev) in stream.events.iter_mut().enumerate() {
+            ev.ts = ev.ts * k + i as u64;
+        }
+    }
+    spread
+}
+
 /// Total running time across all threads (sum of segment durations).
 fn total_busy(trace: &Trace) -> u64 {
     let st = critlock::analysis::SegmentedTrace::build(trace);
@@ -270,16 +285,9 @@ proptest! {
         cut in (0u64..100, 0u64..100),
     ) {
         let trace = build_and_run(&w, MachineConfig::ideal().with_seed(w.seed));
-        // The simulator gives acquire, contended event and obtain one
-        // timestamp. Spreading each stream's i-th event to `ts * k + i`
-        // keeps every stream monotone but puts window edges between them.
-        let mut spread = trace.clone();
-        let k = trace.threads.iter().map(|s| s.events.len() as u64).max().unwrap_or(0) + 1;
-        for stream in &mut spread.threads {
-            for (i, ev) in stream.events.iter_mut().enumerate() {
-                ev.ts = ev.ts * k + i as u64;
-            }
-        }
+        // The spread puts window edges between acquire, contended event
+        // and obtain.
+        let spread = spread(&trace);
         for trace in [trace, spread] {
             let span = trace.makespan().max(1);
             let lo = trace.start_ts() + span * cut.0.min(cut.1) / 100;
@@ -323,11 +331,39 @@ proptest! {
 
     #[test]
     fn per_thread_criticality_tiles_the_path(w in workload_strategy()) {
+        use critlock::trace::{
+            barrier_episodes, cond_wait_episodes, join_episodes, lock_episodes, rw_episodes,
+        };
         let trace = build_and_run(&w, MachineConfig::ideal().with_seed(w.seed));
-        let cp = critical_path(&trace);
-        let rep = critlock::analysis::thread_report(&trace, &cp);
-        let total: u64 = rep.threads.iter().map(|t| t.cp_time).sum();
-        prop_assert_eq!(total, cp.length);
+        let spread = spread(&trace);
+        for trace in [trace, spread] {
+            let st = critlock::analysis::SegmentedTrace::build(&trace);
+            let cp = critlock::analysis::cp::critical_path_segmented(&trace, &st);
+            let rep = critlock::analysis::thread_report(&trace, &st, &cp);
+            let total: u64 = rep.threads.iter().map(|t| t.cp_time).sum();
+            prop_assert_eq!(total, cp.length);
+
+            // Segment conservation: a thread is running (in a segment) or
+            // blocked in one of the episodes the public views report,
+            // never both, from its start to its exit.
+            let mut blocked = vec![0u64; trace.num_threads()];
+            let lock_waits = lock_episodes(&trace).into_iter().filter(|e| e.contended);
+            let rw_waits = rw_episodes(&trace).into_iter().filter(|e| e.contended);
+            let waits = lock_waits
+                .map(|e| (e.tid, e.wait_time()))
+                .chain(rw_waits.map(|e| (e.tid, e.wait_time())))
+                .chain(barrier_episodes(&trace).into_iter().map(|e| (e.tid, e.wait_time())))
+                .chain(cond_wait_episodes(&trace).into_iter().map(|e| (e.tid, e.wait_time())))
+                .chain(join_episodes(&trace).into_iter().map(|e| (e.tid, e.end - e.begin)));
+            for (tid, wait) in waits {
+                blocked[tid.index()] += wait;
+            }
+            for stream in &trace.threads {
+                let busy: u64 = st.thread(stream.tid).iter().map(|s| s.duration()).sum();
+                let lifetime = stream.end_ts().unwrap() - stream.start_ts().unwrap();
+                prop_assert_eq!(busy + blocked[stream.tid.index()], lifetime, "{}", stream.tid);
+            }
+        }
     }
 
     #[test]
