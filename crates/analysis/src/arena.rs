@@ -40,11 +40,6 @@ impl<T> SlabArena<T> {
         SlabArena { values, spans }
     }
 
-    /// An arena of `n` empty lists (degraded-mode placeholder).
-    pub fn empty_lists(n: usize) -> Self {
-        SlabArena { values: Vec::new(), spans: vec![0; n + 1] }
-    }
-
     /// Number of lists.
     pub fn num_lists(&self) -> usize {
         self.spans.len() - 1
@@ -75,12 +70,6 @@ pub struct CsrIndex<T> {
     values: Vec<T>,
     /// `offsets[r]..offsets[r + 1]` is row `r`; always `num_rows + 1` long.
     offsets: Vec<usize>,
-}
-
-impl<T> Default for CsrIndex<T> {
-    fn default() -> Self {
-        CsrIndex { values: Vec::new(), offsets: Vec::new() }
-    }
 }
 
 impl<T> CsrIndex<T> {
@@ -172,14 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_lists_arena() {
-        let arena: SlabArena<u8> = SlabArena::empty_lists(4);
-        assert_eq!(arena.num_lists(), 4);
-        assert_eq!(arena.total(), 0);
-        assert!(arena.list(2).is_empty());
-    }
-
-    #[test]
     fn csr_groups_by_row() {
         let mut b = CsrBuilder::new(&[2, 0, 1]);
         b.push(2, 30);
@@ -193,12 +174,5 @@ mod tests {
         assert_eq!(csr.row(9), &[] as &[i32]);
         csr.row_mut(0).reverse();
         assert_eq!(csr.row(0), &[11, 10]);
-    }
-
-    #[test]
-    fn default_csr_is_empty() {
-        let csr: CsrIndex<u32> = CsrIndex::default();
-        assert_eq!(csr.num_rows(), 0);
-        assert!(csr.row(0).is_empty());
     }
 }
