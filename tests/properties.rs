@@ -5,12 +5,16 @@
 //! with balanced barrier rounds — run them through the deterministic
 //! simulator, and check the invariants every layer of the stack promises.
 
+use critlock::analysis::cp::critical_path_segmented;
 use critlock::analysis::validate::{check_critical_path, check_trace};
-use critlock::analysis::{analyze, critical_path, online_analyze};
+use critlock::analysis::{
+    analyze, critical_path, online_analyze, CpSlice, CriticalPath, SegmentedTrace, StartCause,
+};
 use critlock::sim::replay::{replay, ReplayConfig};
 use critlock::sim::{MachineConfig, Op, ScriptProgram, Simulator};
-use critlock::trace::Trace;
+use critlock::trace::{LockEpisode, ObjId, Trace};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One generated operation: kind 0 = compute, 1 = mutex critical section,
 /// 2 = rwlock read section, 3 = rwlock write section.
@@ -84,6 +88,127 @@ fn spread(trace: &Trace) -> Trace {
         }
     }
     spread
+}
+
+/// `trace` on real-clock-style timestamps: ten ticks per simulated one
+/// plus a per-thread clock offset and per-event jitter, each stream kept
+/// monotone. Across threads the order no longer matches the simulated
+/// one: a release can land after the obtain it enabled.
+fn jitter(trace: &Trace, seed: u64) -> Trace {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut jittered = trace.clone();
+    for stream in &mut jittered.threads {
+        let offset = rng.gen_range(0..40u64);
+        let mut last = 0;
+        for ev in &mut stream.events {
+            ev.ts = (ev.ts * 10 + offset + rng.gen_range(0..15u64)).max(last);
+            last = ev.ts;
+        }
+    }
+    jittered
+}
+
+/// The backward walk of `critical_path_segmented`, with every lookup a
+/// fresh search through the public lookups instead of one that starts
+/// where the walk's last search on that row landed: the reference for
+/// the walk's search hints. Returns the merged slices and completeness.
+fn reference_path(trace: &Trace, st: &SegmentedTrace) -> (Vec<CpSlice>, bool) {
+    let mut raw = Vec::new();
+    let mut complete = true;
+    let Some(last) = trace.last_finisher().and_then(|tid| st.thread(tid).last()) else {
+        return (raw, true);
+    };
+    let (mut tid, mut idx, mut upto) = (last.tid, last.index, last.end);
+    let mut steps = 0;
+    loop {
+        steps += 1;
+        if steps > st.num_segments() * 4 + 16 {
+            complete = false;
+            break;
+        }
+        let seg = st.thread(tid)[idx];
+        raw.push(CpSlice { tid, start: seg.start.min(upto), end: upto });
+        let jump = match seg.start_cause {
+            StartCause::ThreadStart => match st.creator_of(tid) {
+                Some(edge) => Some(edge),
+                None => {
+                    complete &= seg.start <= st.trace_start;
+                    break;
+                }
+            },
+            StartCause::LockGranted { lock, .. } => {
+                st.latest_release_before(lock, seg.start, tid).map(|(ts, by)| (by, ts))
+            }
+            StartCause::BarrierDeparted { barrier, epoch, .. } => st
+                .last_arriver(barrier, epoch)
+                .filter(|&(_, by)| by != tid)
+                .map(|(ts, by)| (by, ts)),
+            StartCause::CondWoken { cv, signal_seq, .. } => {
+                match st.matching_signal(cv, signal_seq, seg.start, tid) {
+                    Some((ts, by)) => Some((by, ts)),
+                    None => {
+                        complete = false;
+                        break;
+                    }
+                }
+            }
+            StartCause::JoinReturned { child, begin } => {
+                st.exit_ts(child).filter(|&exit| exit > begin).map(|exit| (child, exit))
+            }
+        };
+        match jump {
+            Some((target, at)) => match st.segment_at(target, at.min(seg.start)) {
+                Some(found) => (tid, idx, upto) = (target, found.index, at.min(seg.start)),
+                None => {
+                    complete = false;
+                    break;
+                }
+            },
+            None if idx == 0 => {
+                complete &= seg.start <= st.trace_start;
+                break;
+            }
+            None => {
+                idx -= 1;
+                upto = st.thread(tid)[idx].end;
+            }
+        }
+    }
+    let mut merged: Vec<CpSlice> = Vec::new();
+    for s in raw.into_iter().rev() {
+        match merged.last_mut() {
+            Some(prev) if prev.tid == s.tid && prev.end == s.start => prev.end = s.end,
+            _ if s.duration() == 0 => {}
+            _ => merged.push(s),
+        }
+    }
+    (merged, complete)
+}
+
+/// Each lock's TYPE 1 totals `(cp_time, invocations_on_cp,
+/// contended_on_cp)` from the public episode views, every invocation
+/// overlapped with every slice of its thread: the reference for the
+/// metrics' overlap cursors.
+fn reference_type1(trace: &Trace, cp: &CriticalPath) -> BTreeMap<ObjId, (u64, u64, u64)> {
+    let mut totals = BTreeMap::new();
+    let locks = critlock::trace::lock_episodes(trace);
+    let rws = critlock::trace::rw_episodes(trace).into_iter().map(LockEpisode::from);
+    for ep in locks.into_iter().chain(rws) {
+        let overlap: u64 = cp
+            .slices
+            .iter()
+            .filter(|s| s.tid == ep.tid)
+            .map(|s| s.end.min(ep.release).saturating_sub(s.start.max(ep.obtain)))
+            .sum();
+        let entry = totals.entry(ep.lock).or_insert((0, 0, 0));
+        if overlap > 0 {
+            entry.0 += overlap;
+            entry.1 += 1;
+            entry.2 += u64::from(ep.contended);
+        }
+    }
+    totals
 }
 
 /// Total running time across all threads (sum of segment durations).
@@ -306,6 +431,33 @@ proptest! {
             for l in &rep.locks {
                 prop_assert!(l.cp_time <= cp.length.max(1));
             }
+        }
+    }
+
+    #[test]
+    fn analysis_equals_fresh_search_reference(w in workload_strategy()) {
+        // The walk's search hints and the metrics' overlap cursors only
+        // decide where a search starts: on simulator, spread and jittered
+        // real-clock-style timestamps, the path and every lock's TYPE 1
+        // totals equal those of fresh searches.
+        let trace = build_and_run(&w, MachineConfig::ideal().with_seed(w.seed));
+        let (spread, jittered) = (spread(&trace), jitter(&trace, w.seed));
+        for trace in [trace, spread, jittered] {
+            let st = SegmentedTrace::build(&trace);
+            let cp = critical_path_segmented(&trace, &st);
+            let (slices, complete) = reference_path(&trace, &st);
+            prop_assert_eq!(&cp.slices, &slices);
+            prop_assert_eq!(cp.complete, complete);
+
+            let rep = analyze(&trace);
+            prop_assert_eq!((rep.cp_length, rep.cp_complete), (cp.length, cp.complete));
+            let reference = reference_type1(&trace, &cp);
+            let type1: BTreeMap<ObjId, (u64, u64, u64)> = rep
+                .locks
+                .iter()
+                .map(|l| (l.lock, (l.cp_time, l.invocations_on_cp, l.contended_on_cp)))
+                .collect();
+            prop_assert_eq!(type1, reference);
         }
     }
 
