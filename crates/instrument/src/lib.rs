@@ -48,7 +48,7 @@ pub use barrier::Barrier;
 pub use condvar::Condvar;
 pub use mutex::{Mutex, MutexGuard};
 pub use rwlock::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-pub use session::Session;
+pub use session::{FinishError, Session};
 pub use thread::{run_workers, spawn, JoinHandle};
 
 impl Session {

@@ -6,7 +6,7 @@
 //! falls back to the blocking lock. The release is stamped just *before*
 //! the real unlock, so the recorded hold lies inside the real one and no
 //! later obtain by another thread can precede it in the trace; the record
-//! itself (and any sink flush) is written after the unlock, so only one
+//! itself (and any chunk hand-off) is written after the unlock, so only one
 //! clock read lands inside the critical section.
 
 use crate::session::{record, record_release, SessionInner};

@@ -159,7 +159,12 @@ impl Producer {
 
     /// Send one frame, reconnecting first if the connection fails.
     pub fn write_frame(&mut self, frame: &Frame) -> Result<()> {
-        let raw = RawFrame::encode(frame)?;
+        self.write_raw_frame(RawFrame::encode(frame)?)
+    }
+
+    /// Send one encoded frame, reconnecting first if the connection
+    /// fails.
+    pub fn write_raw_frame(&mut self, raw: RawFrame) -> Result<()> {
         let written = self.writer().and_then(|w| w.write_raw_frame(&raw));
         self.sent += 1;
         if self.resumable() {

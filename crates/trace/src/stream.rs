@@ -144,7 +144,9 @@ pub enum Frame {
 /// ([`RawFrame::events`]) instead of a `Vec<Event>`. Only the rare
 /// registration frames are decoded to an owned [`Frame`]
 /// ([`RawFrame::decode`]); producers build owned frames and encode them
-/// with [`RawFrame::encode`] or [`StreamWriter::write_frame`].
+/// with [`RawFrame::encode`] or [`StreamWriter::write_frame`], or encode
+/// borrowed events and objects with [`RawFrame::encode_events`] and
+/// [`RawFrame::encode_objects`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawFrame {
     payload: Vec<u8>,
@@ -161,6 +163,26 @@ impl RawFrame {
     /// Canonically encode an owned frame (registration paths, tests).
     pub fn encode(frame: &Frame) -> Result<Self> {
         Ok(RawFrame { payload: encode_payload(frame)? })
+    }
+
+    /// Encode an `Events` frame from a borrowed slice: the payload
+    /// [`RawFrame::encode`] gives for `Frame::Events { tid, events }`,
+    /// without an owned copy of the events. A live session's flusher
+    /// encodes the chunks it shares with the recording threads this way.
+    pub fn encode_events(tid: ThreadId, events: &[Event]) -> Result<Self> {
+        // Most events encode in under four bytes. Growing the payload
+        // from empty cost a third of the encode time in a microbenchmark.
+        let mut payload = Vec::with_capacity(16 + 4 * events.len());
+        encode_events(&mut payload, tid, events)?;
+        Ok(RawFrame { payload })
+    }
+
+    /// Encode an `Objects` frame from a borrowed slice of the registry,
+    /// as [`RawFrame::encode_events`] does for events.
+    pub fn encode_objects(first_id: u32, objects: &[ObjInfo]) -> Result<Self> {
+        let mut payload = Vec::new();
+        encode_objects(&mut payload, first_id, objects)?;
+        Ok(RawFrame { payload })
     }
 
     /// The frame-type byte (`0` Start … `5` End).
@@ -255,15 +277,7 @@ fn encode_payload(frame: &Frame) -> Result<Vec<u8>> {
             write_bytes(&mut out, key.as_bytes())?;
             write_bytes(&mut out, value.as_bytes())?;
         }
-        Frame::Objects { first_id, objects } => {
-            out.push(2);
-            write_varint(&mut out, *first_id as u64)?;
-            write_varint(&mut out, objects.len() as u64)?;
-            for obj in objects {
-                out.push(kind_to_u8(obj.kind));
-                write_bytes(&mut out, obj.name.as_bytes())?;
-            }
-        }
+        Frame::Objects { first_id, objects } => encode_objects(&mut out, *first_id, objects)?,
         Frame::Thread { tid, name } => {
             out.push(3);
             write_varint(&mut out, tid.0 as u64)?;
@@ -275,25 +289,41 @@ fn encode_payload(frame: &Frame) -> Result<Vec<u8>> {
                 None => out.push(0),
             }
         }
-        Frame::Events { tid, events } => {
-            out.push(4);
-            write_varint(&mut out, tid.0 as u64)?;
-            write_varint(&mut out, events.len() as u64)?;
-            let mut prev = 0u64;
-            for ev in events {
-                if ev.ts < prev {
-                    return Err(TraceError::Decode(format!(
-                        "events frame not sorted: {} after {prev}",
-                        ev.ts
-                    )));
-                }
-                write_event(&mut out, prev, ev)?;
-                prev = ev.ts;
-            }
-        }
+        Frame::Events { tid, events } => encode_events(&mut out, *tid, events)?,
         Frame::End => out.push(5),
     }
     Ok(out)
+}
+
+/// Append an `Objects` payload registering `objects` from `first_id` on.
+fn encode_objects(out: &mut Vec<u8>, first_id: u32, objects: &[ObjInfo]) -> Result<()> {
+    out.push(2);
+    write_varint(out, first_id as u64)?;
+    write_varint(out, objects.len() as u64)?;
+    for obj in objects {
+        out.push(kind_to_u8(obj.kind));
+        write_bytes(out, obj.name.as_bytes())?;
+    }
+    Ok(())
+}
+
+/// Append an `Events` payload for `events` of `tid` to `out`.
+fn encode_events(out: &mut Vec<u8>, tid: ThreadId, events: &[Event]) -> Result<()> {
+    out.push(4);
+    write_varint(out, tid.0 as u64)?;
+    write_varint(out, events.len() as u64)?;
+    let mut prev = 0u64;
+    for ev in events {
+        if ev.ts < prev {
+            return Err(TraceError::Decode(format!(
+                "events frame not sorted: {} after {prev}",
+                ev.ts
+            )));
+        }
+        write_event(out, prev, ev)?;
+        prev = ev.ts;
+    }
+    Ok(())
 }
 
 /// Decode one frame payload to an owned [`Frame`]: the CLSM payload
@@ -774,6 +804,21 @@ mod tests {
         let back = stream_roundtrip(&t);
         assert_eq!(t, back);
         back.validate().unwrap();
+    }
+
+    #[test]
+    fn borrowed_encodes_match_the_owned_frames() {
+        let t = sample();
+        for stream in &t.threads {
+            let (tid, events) = (stream.tid, &stream.events[..]);
+            let owned = RawFrame::encode(&Frame::Events { tid, events: events.to_vec() }).unwrap();
+            assert_eq!(RawFrame::encode_events(tid, events).unwrap(), owned);
+        }
+        let objects = RawFrame::encode(&Frame::Objects { first_id: 1, objects: t.objects.clone() });
+        assert_eq!(RawFrame::encode_objects(1, &t.objects).unwrap(), objects.unwrap());
+        let main = &t.threads[0].events;
+        let unsorted = [main[main.len() - 1], main[0]];
+        assert!(RawFrame::encode_events(ThreadId(0), &unsorted).is_err());
     }
 
     #[test]
