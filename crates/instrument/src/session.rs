@@ -195,14 +195,10 @@ impl Flusher {
                 }
             };
             let ended = batch.iter().any(|handoff| matches!(handoff, Handoff::End { .. }));
-            if failed.is_some() {
-                batch.clear();
-            } else if !batch.is_empty() {
-                if let Err(e) = self.write_batch(&mut batch) {
-                    batch.clear();
-                    failed = Some(e);
-                }
+            if failed.is_none() && !batch.is_empty() {
+                failed = self.write_batch(&mut batch).err();
             }
+            batch.clear();
             if ended || !open {
                 return failed.map_or(Ok(()), Err);
             }
