@@ -17,10 +17,13 @@
 //! object registry, encodes each chunk from the shared slice and flushes
 //! once per wakeup. So a recording thread never takes a session-wide
 //! lock, makes a syscall or encodes a frame, however slow the collector
-//! is. The thread keeps its own reference to every chunk for
-//! [`Session::finish`], which joins the flusher before the stream's
-//! `End`: the flusher and `finish` share each chunk, and neither copies
-//! one for the other.
+//! is. The flusher and the thread share each chunk, and neither copies
+//! one for the other. As it exits, the thread copies its chunks into the
+//! one `Vec` of events its trace stream holds, so [`Session::finish`]
+//! only gathers and validates them; it joins the flusher before the
+//! stream's `End`, then gives the chunk buffers to a process-wide stack
+//! of spares (`SPARE_CHUNKS`), from which recording threads take their
+//! next chunks.
 //!
 //! The timestamp source is a process-wide monotonic nanosecond clock
 //! anchored at session creation — the portable stand-in for the paper's
@@ -38,7 +41,7 @@ use std::cell::RefCell;
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -109,6 +112,63 @@ fn plain_sink(sink: impl Write + Send + 'static) -> critlock_trace::Result<Box<d
 /// A sealed run of one thread's events. The thread's buffer keeps it for
 /// [`Session::finish`], and the flusher encodes the same allocation.
 type Chunk = Arc<Vec<Event>>;
+
+/// Most empty chunk buffers [`SPARE_CHUNKS`] keeps: 3 MiB of events.
+const SPARE_CHUNKS_MAX: usize = 1024;
+
+/// Spare chunk buffers a recording thread takes from [`SPARE_CHUNKS`] at
+/// once, so it locks the stack about once per 4,096 events.
+const SPARE_BATCH: usize = 32;
+
+/// Empty chunk buffers, shared by every session in the process.
+/// [`Session::finish`] gives a session's chunks back once its flusher is
+/// done with them, and recording threads take their new chunks from here,
+/// a batch at a time, before they allocate any. Recording threads are
+/// often short-lived, and the allocator serves each from whichever of its
+/// per-thread arenas is free; chunks allocated and freed anew by every
+/// session left freed memory behind in every arena such threads touched,
+/// so a run of sessions' peak memory grew and varied from run to run.
+static SPARE_CHUNKS: SpareChunks = SpareChunks::new(SPARE_CHUNKS_MAX);
+
+/// A bounded stack of empty chunk buffers.
+struct SpareChunks {
+    max: usize,
+    spares: std::sync::Mutex<Vec<Vec<Event>>>,
+}
+
+impl SpareChunks {
+    const fn new(max: usize) -> SpareChunks {
+        SpareChunks { max, spares: std::sync::Mutex::new(Vec::new()) }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Vec<Event>>> {
+        self.spares.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Up to `n` spare buffers; the last is the one to fill first.
+    fn take(&self, n: usize) -> Vec<Vec<Event>> {
+        let mut spares = self.lock();
+        let at = spares.len().saturating_sub(n);
+        spares.split_off(at)
+    }
+
+    /// Keep `buffers`, emptied, up to the bound; the last is handed out
+    /// first.
+    fn put(&self, mut buffers: Vec<Vec<Event>>) {
+        buffers.iter_mut().for_each(Vec::clear);
+        let mut spares = self.lock();
+        buffers.truncate(self.max - spares.len());
+        spares.append(&mut buffers);
+    }
+
+    /// Keep the buffers of the `chunks` nothing else holds, so that the
+    /// first filled is handed out first.
+    fn give(&self, chunks: Vec<Chunk>) {
+        self.put(
+            chunks.into_iter().rev().filter_map(|chunk| Arc::try_unwrap(chunk).ok()).collect(),
+        );
+    }
+}
 
 /// What a session hands its flusher.
 enum Handoff {
@@ -250,8 +310,10 @@ pub(crate) struct SessionInner {
     streaming_lookups: AtomicU64,
 }
 
-/// A finished thread's buffer: (id, name, chunks).
-type FlushedBuffer = (ThreadId, Option<String>, Vec<Chunk>);
+/// A finished thread's buffer: (id, name, events, chunks). The thread
+/// copies its chunks into one `Vec` as it exits, so `finish` need not;
+/// the chunks are kept for [`SPARE_CHUNKS`] until the flusher is done.
+type FlushedBuffer = (ThreadId, Option<String>, Vec<Event>, Vec<Chunk>);
 
 impl SessionInner {
     pub(crate) fn now(&self) -> u64 {
@@ -296,18 +358,57 @@ struct ThreadBuf {
     open: Vec<Event>,
     /// Prefix of `sealed` handed to the flusher.
     handed: usize,
+    /// Empty buffers taken from [`SPARE_CHUNKS`]; the last is next.
+    spares: Vec<Vec<Event>>,
+    /// Where the thread copies its chunks as it exits (see
+    /// [`Session::alloc_child`]).
+    events: Vec<Event>,
 }
 
 impl ThreadBuf {
-    fn new() -> ThreadBuf {
-        ThreadBuf { sealed: Vec::new(), open: Vec::with_capacity(STREAM_FLUSH_EVENTS), handed: 0 }
+    fn new(events: Vec<Event>) -> ThreadBuf {
+        let mut buf = ThreadBuf {
+            sealed: Vec::new(),
+            open: Vec::new(),
+            handed: 0,
+            spares: Vec::new(),
+            events,
+        };
+        buf.open = buf.empty_chunk();
+        buf
     }
 
-    fn seal(&mut self) {
-        if !self.open.is_empty() {
-            let full = std::mem::replace(&mut self.open, Vec::with_capacity(STREAM_FLUSH_EVENTS));
+    /// An empty chunk: a spare one if the thread holds or can take one,
+    /// else a new allocation.
+    fn empty_chunk(&mut self) -> Vec<Event> {
+        if self.spares.is_empty() {
+            self.spares = SPARE_CHUNKS.take(SPARE_BATCH);
+        }
+        self.spares.pop().unwrap_or_else(|| Vec::with_capacity(STREAM_FLUSH_EVENTS))
+    }
+
+    /// Seal the open chunk, if it holds events. A thread that goes on
+    /// recording (`more`) opens an empty one; one that exits returns its
+    /// spares.
+    fn seal(&mut self, more: bool) {
+        let next = if more { self.empty_chunk() } else { Vec::new() };
+        let full = std::mem::replace(&mut self.open, next);
+        if !full.is_empty() {
             self.sealed.push(Arc::new(full));
         }
+        if !more && !self.spares.is_empty() {
+            SPARE_CHUNKS.put(std::mem::take(&mut self.spares));
+        }
+    }
+
+    /// The thread's events as one `Vec`, grown from `events`.
+    fn concat(&mut self) -> Vec<Event> {
+        let mut events = std::mem::take(&mut self.events);
+        events.reserve_exact(self.sealed.iter().map(|c| c.len()).sum());
+        for chunk in &self.sealed {
+            events.extend_from_slice(chunk);
+        }
+        events
     }
 
     /// Hand the sealed chunks the flusher has not seen to it, announcing
@@ -358,33 +459,46 @@ pub(crate) fn record_release(kind: EventKind, unlock: impl FnOnce()) {
 fn push_event(ctx: &mut ThreadCtx, ts: u64, kind: EventKind) {
     ctx.buf.open.push(Event::new(ts, kind));
     if ctx.buf.open.len() == STREAM_FLUSH_EVENTS {
-        ctx.buf.seal();
+        ctx.buf.seal(true);
         if let Some(streaming) = ctx.session.streaming() {
             ctx.buf.hand_off(ctx.tid, &ctx.name, streaming);
         }
     }
 }
 
-fn install_ctx(session: Arc<SessionInner>, tid: ThreadId, name: Option<String>) {
+fn install_ctx(
+    session: Arc<SessionInner>,
+    tid: ThreadId,
+    name: Option<String>,
+    events: Vec<Event>,
+) {
     CTX.with(|c| {
         let mut slot = c.borrow_mut();
         assert!(slot.is_none(), "thread already registered with a session");
-        *slot = Some(ThreadCtx { session, tid, name, buf: ThreadBuf::new() });
+        *slot = Some(ThreadCtx { session, tid, name, buf: ThreadBuf::new(events) });
     });
 }
 
 fn uninstall_ctx() {
     CTX.with(|c| {
         if let Some(ThreadCtx { session, tid, name, mut buf }) = c.borrow_mut().take() {
-            buf.seal();
+            buf.seal(false);
+            // An installed flusher stays, so it can have the last chunk
+            // before the copy below.
+            let streaming = session.streaming();
+            if let Some(streaming) = streaming {
+                buf.hand_off(tid, &name, streaming);
+            }
+            let events = buf.concat();
             // Under the buffers lock, which an attach holds until its
             // flusher is installed: the attach either replays this buffer
             // or the flusher receives it here.
             let mut flushed = session.flushed.lock();
-            if let Some(streaming) = session.streaming() {
+            // An attach may have installed a flusher since the look above.
+            if let (None, Some(streaming)) = (streaming, session.streaming.get()) {
                 buf.hand_off(tid, &name, streaming);
             }
-            flushed.push((tid, name, buf.sealed));
+            flushed.push((tid, name, events, buf.sealed));
         }
     });
 }
@@ -450,7 +564,7 @@ impl Session {
         });
         let tid = inner.alloc_tid();
         debug_assert_eq!(tid, ThreadId::MAIN);
-        install_ctx(Arc::clone(&inner), tid, Some("main".into()));
+        install_ctx(Arc::clone(&inner), tid, Some("main".into()), Vec::new());
         record(EventKind::ThreadStart);
         Session { inner }
     }
@@ -474,7 +588,7 @@ impl Session {
     /// The session's start, its params, its objects and the threads that
     /// already finished are sent before this returns. From then on the
     /// session's flusher thread sends each thread's events: a chunk of
-    /// [`STREAM_FLUSH_EVENTS`] events as it fills, and the rest when the
+    /// `STREAM_FLUSH_EVENTS` (128) events as it fills, and the rest when the
     /// thread exits. Recording threads only hand their chunks over; they
     /// never wait on the collector. [`Session::finish`] joins the flusher
     /// and sends the final `End` frame. Streaming is best-effort: if the
@@ -555,7 +669,7 @@ impl Session {
         }
         let flushed = self.inner.flushed.lock();
         flusher.sync_objects()?;
-        for (tid, name, chunks) in flushed.iter() {
+        for (tid, name, _, chunks) in flushed.iter() {
             flusher.write(&Frame::Thread { tid: *tid, name: name.clone() })?;
             for chunk in chunks {
                 flusher.write_events(*tid, chunk)?;
@@ -580,7 +694,7 @@ impl Session {
     /// [`Session::unregister_current_thread`] before the session finishes.
     pub fn register_current_thread(&self, name: impl Into<String>) -> ThreadId {
         let tid = self.inner.alloc_tid();
-        install_ctx(Arc::clone(&self.inner), tid, Some(name.into()));
+        install_ctx(Arc::clone(&self.inner), tid, Some(name.into()), Vec::new());
         record(EventKind::ThreadStart);
         tid
     }
@@ -593,14 +707,18 @@ impl Session {
     }
 
     /// Allocate a thread id for a child about to be spawned (used by
-    /// [`crate::spawn`]).
-    pub(crate) fn alloc_child(&self) -> ThreadId {
-        self.inner.alloc_tid()
+    /// [`crate::spawn`]), and the `Vec` the child copies its chunks into
+    /// as it exits. The spawning thread allocates that `Vec`, and the
+    /// child only grows it: glibc grows a block in the arena it came
+    /// from (or maps it), so a run of short-lived children does not leave
+    /// a trace's worth of freed memory behind in every arena they touched.
+    pub(crate) fn alloc_child(&self) -> (ThreadId, Vec<Event>) {
+        (self.inner.alloc_tid(), Vec::with_capacity(1))
     }
 
     /// Install the context for a freshly spawned child thread.
-    pub(crate) fn enter_child(&self, tid: ThreadId, name: String) {
-        install_ctx(Arc::clone(&self.inner), tid, Some(name));
+    pub(crate) fn enter_child(&self, tid: ThreadId, name: String, events: Vec<Event>) {
+        install_ctx(Arc::clone(&self.inner), tid, Some(name), events);
         record(EventKind::ThreadStart);
     }
 
@@ -638,7 +756,7 @@ impl Session {
         uninstall_ctx();
         let traced = self.inner.next_tid.load(Ordering::Relaxed);
         // The flusher writes its backlog and closes the stream while this
-        // thread assembles and validates the trace.
+        // thread gathers and validates the trace.
         let flusher = self.inner.streaming.get().and_then(|s| s.end(traced));
 
         let mut meta = TraceMeta::named(self.inner.app.clone());
@@ -652,18 +770,17 @@ impl Session {
         trace.objects = self.inner.objects.lock().clone();
 
         let mut buffers = std::mem::take(&mut *self.inner.flushed.lock());
-        buffers.sort_by_key(|(tid, _, _)| *tid);
+        buffers.sort_by_key(|(tid, _, _, _)| *tid);
+        let mut spent = Vec::new();
         let mut iter = buffers.into_iter().peekable();
         for i in 0..traced {
             let tid = ThreadId(i);
             let mut stream = ThreadStream::new(tid);
-            if iter.peek().map(|(t, _, _)| *t) == Some(tid) {
-                let (_, name, chunks) = iter.next().unwrap();
+            if iter.peek().map(|(t, _, _, _)| *t) == Some(tid) {
+                let (_, name, events, chunks) = iter.next().unwrap();
                 stream.name = name;
-                stream.events = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
-                for chunk in chunks {
-                    stream.events.extend_from_slice(&chunk);
-                }
+                stream.events = events;
+                spent.extend(chunks);
             }
             trace.push_thread(stream);
         }
@@ -673,6 +790,8 @@ impl Session {
                 Err(std::io::Error::other("the session's stream flusher panicked").into())
             })
         });
+        // The joined flusher holds no chunk, so all of them can be reused.
+        SPARE_CHUNKS.give(spent);
         valid.map_err(FinishError::Trace)?;
         match streamed {
             Ok(()) => Ok(trace),
@@ -942,6 +1061,28 @@ mod tests {
         assert!(!watchdog.join().unwrap(), "recording threads waited on a stalled sink");
         let trace = s.finish_checked().unwrap();
         assert_eq!(sink.bytes.decode(), trace);
+    }
+
+    #[test]
+    fn spare_chunks_come_back_empty_in_fill_order_up_to_the_bound() {
+        let spares = SpareChunks::new(3);
+        let event = Event::new(0, EventKind::ThreadStart);
+        let chunks: Vec<Chunk> =
+            (0..5).map(|_| Arc::new(vec![event; STREAM_FLUSH_EVENTS])).collect();
+        let at: Vec<*const Event> = chunks.iter().map(|c| c.as_ptr()).collect();
+        let held = Arc::clone(&chunks[3]);
+        spares.give(chunks);
+        // Chunk 3 is still held; of the rest, the bound keeps three, and
+        // each batch hands out the first filled first.
+        let batch = spares.take(2);
+        let order: Vec<_> = batch.iter().rev().map(|b| b.as_ptr()).collect();
+        assert_eq!(order, [at[1], at[2]]);
+        let last = spares.take(2);
+        assert_eq!(last.len(), 1);
+        assert!(last[0].is_empty() && last[0].capacity() == STREAM_FLUSH_EVENTS);
+        assert_eq!(last[0].as_ptr(), at[4]);
+        assert!(spares.take(2).is_empty());
+        assert_eq!(held.len(), STREAM_FLUSH_EVENTS, "a held chunk is left alone");
     }
 
     #[test]

@@ -42,14 +42,14 @@ where
     T: Send + 'static,
 {
     let name = name.into();
-    let tid = session.alloc_child();
+    let (tid, events) = session.alloc_child();
     record(EventKind::ThreadCreate { child: tid });
     let session2 = session.clone();
     let thread_name = name.clone();
     let inner = std::thread::Builder::new()
         .name(name)
         .spawn(move || {
-            session2.enter_child(tid, thread_name);
+            session2.enter_child(tid, thread_name, events);
             // Flush even if `f` panics, so the trace stays well-formed.
             struct ExitGuard(Session);
             impl Drop for ExitGuard {
