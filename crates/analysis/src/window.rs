@@ -44,8 +44,11 @@ use std::collections::VecDeque;
 /// bounds, matching [`clip`]). Window `k` **closes** once the caller's
 /// conservative watermark — a timestamp no future event can precede —
 /// moves strictly past its trailing edge; a closed window is clipped and
-/// analyzed exactly once and its digest cached, so steady-state per-frame
-/// cost is independent of session history. The ring keeps the most recent
+/// analyzed exactly once and its digest cached. Closing a window still
+/// costs O(session history): [`clip`] steps every stream's protocol
+/// machine from the session's start up to the window's leading edge, so
+/// a window late in a long session costs more to close than an early
+/// one. Between closes the ring costs nothing. The ring keeps the most recent
 /// `cap` closed windows ("critical locks over the last N seconds"); when
 /// the watermark jumps far ahead, windows that would immediately fall off
 /// the ring are skipped, never analyzed.

@@ -350,19 +350,31 @@ fn measure_live(trace: &Trace, reps: usize) -> LiveIngestion {
 
 /// Measure the owned-vs-borrowed decode comparison: minimum over `reps`
 /// of each path's wall time over the same encoded bytes, plus the
-/// bit-identity cross-check.
+/// bit-identity cross-check. The paths take turns at running first, so
+/// that neither always runs on the heap and caches the other left.
 fn measure_decode(bytes: &[u8], trace: &Trace, reps: usize) -> DecodeThroughput {
-    let mut owned_ns = u64::MAX;
-    let mut borrowed_ns = u64::MAX;
-    for _ in 0..reps.max(1) {
+    let time = |decode: &dyn Fn()| {
         let start = std::time::Instant::now();
+        decode();
+        (start.elapsed().as_nanos() as u64).max(1)
+    };
+    let owned = || {
         std::hint::black_box(codec::read_trace_bytes(bytes).expect("bench trace decodes"));
-        owned_ns = owned_ns.min((start.elapsed().as_nanos() as u64).max(1));
-
-        let start = std::time::Instant::now();
+    };
+    let borrowed = || {
         let view = codec::RawTraceView::parse(bytes).expect("bench trace parses");
         std::hint::black_box(view.validate().expect("bench trace validates"));
-        borrowed_ns = borrowed_ns.min((start.elapsed().as_nanos() as u64).max(1));
+    };
+    let mut owned_ns = u64::MAX;
+    let mut borrowed_ns = u64::MAX;
+    for rep in 0..reps.max(1) {
+        if rep % 2 == 0 {
+            owned_ns = owned_ns.min(time(&owned));
+            borrowed_ns = borrowed_ns.min(time(&borrowed));
+        } else {
+            borrowed_ns = borrowed_ns.min(time(&borrowed));
+            owned_ns = owned_ns.min(time(&owned));
+        }
     }
     let borrowed_exact = codec::RawTraceView::parse(bytes)
         .and_then(|view| view.to_trace())

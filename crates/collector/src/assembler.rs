@@ -15,18 +15,28 @@
 //! machine and its closing rules with `Trace::validate` and offline
 //! salvage.
 //!
-//! On a well-formed, gracefully ended session the repair is the identity
-//! (beyond ordering streams by thread id), which is what makes live
-//! snapshots of complete sessions exactly match offline analysis.
+//! On a well-formed, gracefully ended session the repair is the identity,
+//! which is what makes live snapshots of complete sessions exactly match
+//! offline analysis.
+//!
+//! A snapshot refresh ([`SessionAssembler::analyze_repaired`]) does not
+//! copy a session that needs no repair. The assembler keeps its streams
+//! in thread-id order and one [`RepairCursor`] per stream, which each
+//! refresh steps over only the events that arrived since the last. While
+//! every cursor is clean and the streams are dense, the repaired trace
+//! is the partial trace with each stream's close appended: the refresh
+//! appends the closes, analyzes the partial trace in place, and takes
+//! them off again. Any other refresh analyzes `repair`'s copy.
 
 use crate::snapshot::SnapshotStageTimers;
-use critlock_analysis::WindowRing;
+use critlock_analysis::{analyze, AnalysisReport, WindowRing};
 use critlock_obs::Counter;
 use critlock_trace::checkpoint::{CheckpointDoc, WindowCheckpoint};
 use critlock_trace::rollup::WindowDigest;
-use critlock_trace::salvage::repair;
+use critlock_trace::salvage::{repair, RepairCursor};
 use critlock_trace::stream::{Frame, RawFrame};
-use critlock_trace::{Budget, EventKind, ObjInfo, ObjKind, ThreadStream, Trace, Ts};
+use critlock_trace::{Budget, EventKind, ObjInfo, ObjKind, ThreadId, ThreadStream, Trace, Ts};
+use std::time::Instant;
 
 /// How many closed sliding windows each session retains — the "last N
 /// seconds" view is `cap × width` deep at most.
@@ -35,7 +45,13 @@ pub const WINDOW_RING_CAP: usize = 16;
 /// Incremental, loss-tolerant trace assembly for one session.
 #[derive(Debug, Default)]
 pub struct SessionAssembler {
+    /// The partial trace, its streams in thread-id order.
     trace: Trace,
+    /// One repair cursor per stream of `trace`, in the same order,
+    /// stepped at each refresh.
+    cursors: Vec<RepairCursor>,
+    /// Refreshes that analyzed `repair`'s copy rather than `trace`.
+    copy_refreshes: u64,
     started: bool,
     ended: bool,
     frames: u64,
@@ -87,11 +103,6 @@ impl SessionAssembler {
         self.stage_timers = Some(timers);
     }
 
-    /// The attached snapshot stage histograms, if any.
-    pub(crate) fn stage_timers(&self) -> Option<&SnapshotStageTimers> {
-        self.stage_timers.as_ref()
-    }
-
     /// Fold one validated frame into the partial trace. Never fails:
     /// malformed sequences are tolerated here and cleaned up in
     /// [`finalize`].
@@ -117,6 +128,7 @@ impl SessionAssembler {
                 }
                 Ok(Frame::Objects { first_id, objects }) => {
                     let first = first_id as usize;
+                    let registered = self.trace.objects.len();
                     // Fill any gap left by a dropped registration frame with
                     // `Marker` placeholders: repair gives a `Marker` slot the
                     // kind of its first use, and the partial trace carries
@@ -128,24 +140,31 @@ impl SessionAssembler {
                             name: format!("unregistered-{i}"),
                         });
                     }
+                    let mut rekinded = false;
                     for (i, obj) in objects.into_iter().enumerate() {
                         let idx = first + i;
                         if idx < self.trace.objects.len() {
+                            rekinded |= self.trace.objects[idx].kind != obj.kind;
                             self.trace.objects[idx] = obj;
                         } else {
                             self.trace.objects.push(obj);
                         }
                     }
-                }
-                Ok(Frame::Thread { tid, name }) => {
-                    match self.trace.threads.iter_mut().find(|s| s.tid == tid) {
-                        Some(stream) => stream.name = name,
-                        None => {
-                            let mut stream = ThreadStream::new(tid);
-                            stream.name = name;
-                            self.trace.threads.push(stream);
+                    // The cursors stepped events against the old registry.
+                    // A slot that changed kind can turn any of their
+                    // decisions; new slots can only admit events a cursor
+                    // dropped. Either way the cursors concerned step their
+                    // streams again at the next refresh.
+                    for cursor in &mut self.cursors {
+                        if rekinded || (self.trace.objects.len() > registered && !cursor.is_clean())
+                        {
+                            *cursor = RepairCursor::default();
                         }
                     }
+                }
+                Ok(Frame::Thread { tid, name }) => {
+                    let idx = self.stream_index(tid);
+                    self.trace.threads[idx].name = name;
                 }
                 Ok(Frame::End) => self.ended = true,
                 // `Events` is folded in place below, and a validated
@@ -171,14 +190,9 @@ impl SessionAssembler {
             }
         }
         self.events += take;
-        let idx = match self.trace.threads.iter().position(|s| s.tid == tid) {
-            Some(idx) => idx,
-            None => {
-                // Announcement frame lost; synthesize the stream.
-                self.trace.threads.push(ThreadStream::new(tid));
-                self.trace.threads.len() - 1
-            }
-        };
+        // An unknown id means the announcement frame was lost; the
+        // stream is synthesized.
+        let idx = self.stream_index(tid);
         let stream = &mut self.trace.threads[idx];
         let old_len = stream.events.len();
         stream
@@ -188,6 +202,20 @@ impl SessionAssembler {
         if let Some(hi) = self.ring.as_ref().and_then(WindowRing::closed_hi) {
             if new.iter().any(|ev| ev.ts <= hi) {
                 self.windows_stale = true;
+            }
+        }
+    }
+
+    /// The position of `tid`'s stream, which is added if it is new.
+    /// Streams stay in thread-id order, so those of a dense session sit
+    /// at their ids, where `repair` puts them.
+    fn stream_index(&mut self, tid: ThreadId) -> usize {
+        match self.trace.threads.binary_search_by_key(&tid, |s| s.tid) {
+            Ok(idx) => idx,
+            Err(idx) => {
+                self.trace.threads.insert(idx, ThreadStream::new(tid));
+                self.cursors.insert(idx, RepairCursor::default());
+                idx
             }
         }
     }
@@ -234,6 +262,73 @@ impl SessionAssembler {
         repair(&self.trace)
     }
 
+    /// Analyze the repaired partial trace, `analyze(&self.finalize())`,
+    /// and close the sliding windows the frontier watermark has passed,
+    /// each analyzed once over the same trace; retained windows are
+    /// recomputed first if a late event landed inside them.
+    ///
+    /// Each stream's [`RepairCursor`] first steps the events that
+    /// arrived since the last refresh. While every cursor is clean and
+    /// the streams are dense (each at its id, and no event naming a peer
+    /// past them), repair would change nothing but append each stream's
+    /// close. The closes are then appended to the partial trace itself,
+    /// which is analyzed in place and reopened after, so [`partial`] is
+    /// unchanged. Otherwise the refresh analyzes `repair`'s copy.
+    ///
+    /// [`partial`]: SessionAssembler::partial
+    pub fn analyze_repaired(&mut self) -> AnalysisReport {
+        let started = Instant::now();
+        // Taken before the closes, which end every stream.
+        let watermark = if self.ended { Ts::MAX } else { self.frontier().unwrap_or(0) };
+        let objects = &self.trace.objects;
+        for (cursor, stream) in self.cursors.iter_mut().zip(&self.trace.threads) {
+            cursor.resume(&stream.events, objects, |_| {});
+        }
+        let streams = self.trace.threads.len();
+        let dense = self.trace.threads.iter().enumerate().all(|(i, s)| s.tid.index() == i)
+            && self.cursors.iter().all(|c| c.max_peer().is_none_or(|p| p.index() < streams));
+        let (report, repaired_at) = if dense && self.cursors.iter().all(RepairCursor::is_clean) {
+            #[cfg(debug_assertions)]
+            let oracle = repair(&self.trace);
+            let reopen: Vec<_> = self
+                .cursors
+                .iter()
+                .zip(&mut self.trace.threads)
+                .map(|(cursor, stream)| cursor.close_in_place(&mut stream.events))
+                .collect();
+            #[cfg(debug_assertions)]
+            assert_eq!(self.trace, oracle, "the in-place view must be repair's output");
+            let repaired_at = Instant::now();
+            let report = analyze(&self.trace);
+            advance_ring(&mut self.ring, &mut self.windows_stale, &self.trace, watermark);
+            for (reopen, stream) in reopen.into_iter().zip(&mut self.trace.threads) {
+                reopen.undo(&mut stream.events);
+            }
+            (report, repaired_at)
+        } else {
+            self.copy_refreshes += 1;
+            let repaired = repair(&self.trace);
+            let repaired_at = Instant::now();
+            let report = analyze(&repaired);
+            advance_ring(&mut self.ring, &mut self.windows_stale, &repaired, watermark);
+            (report, repaired_at)
+        };
+        if let Some(timers) = &self.stage_timers {
+            let ns = |d: std::time::Duration| d.as_nanos() as u64;
+            timers.repair.observe(ns(repaired_at - started));
+            timers.analyze.observe(ns(repaired_at.elapsed()));
+        }
+        report
+    }
+
+    /// How many refreshes ([`analyze_repaired`]) analyzed `repair`'s copy
+    /// of the partial trace instead of the partial trace in place.
+    ///
+    /// [`analyze_repaired`]: SessionAssembler::analyze_repaired
+    pub fn copy_refreshes(&self) -> u64 {
+        self.copy_refreshes
+    }
+
     /// Enable sliding-window digests of `width` time units per window
     /// (ring depth [`WINDOW_RING_CAP`]). Call before events arrive.
     pub fn set_window(&mut self, width: Ts) {
@@ -259,21 +354,6 @@ impl SessionAssembler {
             }
         }
         Some(bound)
-    }
-
-    /// Close every sliding window the frontier watermark has moved past,
-    /// analyzing each exactly once against `repaired` (the repaired trace
-    /// a snapshot is being computed from), and recompute retained digests
-    /// first if a late event landed inside closed territory. No-op when
-    /// windowing is disabled.
-    pub fn advance_windows(&mut self, repaired: &Trace) {
-        let watermark = if self.ended { Ts::MAX } else { self.frontier().unwrap_or(0) };
-        let Some(ring) = &mut self.ring else { return };
-        if self.windows_stale {
-            ring.recompute(repaired);
-            self.windows_stale = false;
-        }
-        ring.advance(repaired, watermark);
     }
 
     /// The currently retained closed windows, oldest first.
@@ -316,6 +396,10 @@ impl SessionAssembler {
     /// `window`; on a width change the retained digests are discarded and
     /// a fresh ring closes windows from index zero, exactly as a new
     /// session would.
+    ///
+    /// The cursors start empty and step the restored streams once, at the
+    /// first refresh. A checkpoint whose streams are out of thread-id
+    /// order has them sorted.
     pub fn restore(doc: CheckpointDoc, budget: Budget, window: Option<Ts>) -> Self {
         let (ring, windows_stale) = match (doc.window, window) {
             (Some(w), Some(width)) if w.width == width => (
@@ -325,8 +409,12 @@ impl SessionAssembler {
             (_, Some(width)) => (Some(WindowRing::new(width, WINDOW_RING_CAP)), false),
             (_, None) => (None, false),
         };
+        let mut trace = doc.trace;
+        trace.threads.sort_by_key(|s| s.tid);
         SessionAssembler {
-            trace: doc.trace,
+            cursors: vec![RepairCursor::default(); trace.threads.len()],
+            copy_refreshes: 0,
+            trace,
             started: doc.started,
             ended: doc.ended,
             frames: doc.frames,
@@ -342,10 +430,24 @@ impl SessionAssembler {
     }
 }
 
+/// Close every sliding window `watermark` has moved past, analyzing each
+/// exactly once against `repaired` (the repaired trace a snapshot is
+/// being computed from), and recompute the retained digests first if a
+/// late event landed inside closed territory (`stale`). No-op when
+/// windowing is disabled. It takes the window state alone, so that the
+/// assembler's partial trace can be the repaired trace it reads.
+fn advance_ring(ring: &mut Option<WindowRing>, stale: &mut bool, repaired: &Trace, watermark: Ts) {
+    let Some(ring) = ring else { return };
+    if std::mem::take(stale) {
+        ring.recompute(repaired);
+    }
+    ring.advance(repaired, watermark);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use critlock_trace::{Event, ObjId, ThreadId, TraceBuilder};
+    use critlock_trace::{Event, ObjId, TraceBuilder};
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new("assembler-sample");
@@ -712,8 +814,7 @@ mod tests {
             &mut asm,
             &Frame::Events { tid: ThreadId(0), events: evs(&[(0, ThreadStart), (25, ThreadExit)]) },
         );
-        let repaired = asm.finalize();
-        asm.advance_windows(&repaired);
+        asm.analyze_repaired();
         let closed: Vec<u64> = asm.windows().iter().map(|w| w.index).collect();
         assert_eq!(closed, [0, 1, 2]);
 
@@ -732,8 +833,8 @@ mod tests {
                 ]),
             },
         );
+        asm.analyze_repaired();
         let repaired = asm.finalize();
-        asm.advance_windows(&repaired);
         let oracle = digest_window(2, 20, 30, &analyze(&clip(&repaired, 20, 30)));
         assert_eq!(oracle.locks.len(), 1);
         assert_eq!(oracle.locks[0].total_invocations, 1);

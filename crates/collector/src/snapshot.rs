@@ -10,19 +10,25 @@
 //!
 //! A refresh has two stages, each timed into
 //! `critlock_snapshot_stage_ns{stage=...}` when the assembler carries
-//! [`SnapshotStageTimers`]: `repair` (finalize the partial trace) and
-//! `analyze` (the offline analysis, plus any windows the refresh closes).
-//! On a ~95k-event simulated radiosity session (8 threads, ended, first
-//! refresh) on a 2-CPU x86_64 host they cost about 3.1 ms and 4.4 ms.
-//! Both read the whole partial trace, so a refresh is O(session history).
+//! [`SnapshotStageTimers`]: `repair` and `analyze` (the offline analysis,
+//! plus any windows the refresh closes); see
+//! [`SessionAssembler::analyze_repaired`]. The repair stage steps each
+//! stream's repair cursor over the events that arrived since the last
+//! refresh. While no stream needs repair it appends each stream's close
+//! to the partial trace itself, and the analysis reads it in place;
+//! otherwise it copies the trace through `repair`, which reads every
+//! event. So on a clean session the repair stage is O(new events), and
+//! only `analyze` is still O(session history). On a ~93k-event
+//! simulated radiosity session (8 threads, ended, first refresh) on a
+//! 2-CPU x86_64 host, the copy took 2.7–3.3 ms of a 5.9–6.3 ms refresh;
+//! in place, the refresh took about 3.9 ms.
 
 use crate::assembler::SessionAssembler;
-use critlock_analysis::{analyze, AnalysisReport};
+use critlock_analysis::AnalysisReport;
 use critlock_obs::Histogram;
 use critlock_trace::rollup::WindowDigest;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Latency histograms for the stages of [`SessionSnapshot::compute`],
 /// exported as `critlock_snapshot_stage_ns{stage=...}`. Attached to an
@@ -30,7 +36,9 @@ use std::time::Instant;
 /// accounting, the snapshot is unaffected.
 #[derive(Debug, Clone)]
 pub struct SnapshotStageTimers {
-    /// Repairing the partial trace (`SessionAssembler::finalize`).
+    /// Bringing the partial trace to its repaired form: stepping the
+    /// streams' repair cursors over the new events and appending the
+    /// streams' closes in place, or on the copy path `repair`'s copy.
     pub repair: Histogram,
     /// The offline analysis of the repaired trace, plus any sliding
     /// windows the refresh closes.
@@ -172,16 +180,7 @@ impl SessionSnapshot {
         queue_high_water: u64,
         dropped_frames: u64,
     ) -> Self {
-        let t0 = Instant::now();
-        let trace = asm.finalize();
-        let t1 = Instant::now();
-        let report = analyze(&trace);
-        asm.advance_windows(&trace);
-        if let Some(timers) = asm.stage_timers() {
-            let ns = |d: std::time::Duration| d.as_nanos() as u64;
-            timers.repair.observe(ns(t1 - t0));
-            timers.analyze.observe(ns(t1.elapsed()));
-        }
+        let report = asm.analyze_repaired();
         SessionSnapshot {
             session,
             peer,
@@ -338,6 +337,7 @@ impl CollectorStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use critlock_analysis::analyze;
     use critlock_trace::stream::{Frame, RawFrame};
     use critlock_trace::TraceBuilder;
 

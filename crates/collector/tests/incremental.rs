@@ -5,14 +5,22 @@
 //! (the snapshot dirty check keyed on applied events, not just frames,
 //! so replayed frames after journal recovery are never conflated with
 //! new ones).
+//!
+//! The served-report oracle: every refresh serves `analyze(repair(p))`
+//! of the partial trace `p` it saw, and leaves `p` as it was, whether it
+//! analyzed `p` in place with the streams' closes appended or took the
+//! copy path through `repair`. A clean session never takes the copy path.
 
-use critlock_analysis::{analyze, clip, digest_window};
+use critlock_analysis::{analyze, clip, digest_window, AnalysisReport};
 use critlock_collector::{
-    push, push_with, start, Addr, CollectorConfig, CollectorHandle, CollectorStatus, PushOptions,
-    SessionAssembler, SessionSnapshot, Stream,
+    push, push_with, repair, start, Addr, CollectorConfig, CollectorHandle, CollectorStatus,
+    PushOptions, SessionAssembler, SessionSnapshot, Stream,
 };
-use critlock_trace::stream::{trace_frames, Handshake, RawFrame, StreamWriter};
-use critlock_trace::{FaultPlan, RetryPolicy, Trace, Ts};
+use critlock_trace::stream::{trace_frames, Frame, Handshake, RawFrame, StreamWriter};
+use critlock_trace::{
+    Budget, Event, EventKind, FaultPlan, ObjId, ObjInfo, ObjKind, RetryPolicy, ThreadId, Trace,
+    TraceBuilder, Ts,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -75,6 +83,89 @@ fn chunky_trace() -> Trace {
     b.build().unwrap()
 }
 
+/// A main thread forks `workers` threads that fight over a hot lock
+/// (blocking on it every other round), take a reader-writer lock, wait
+/// on a condvar, meet at a barrier each round, and are joined: every kind
+/// of section a refresh can find open.
+fn rich_trace(workers: usize, rounds: usize) -> Trace {
+    let mut b = TraceBuilder::new("incremental-rich");
+    let hot = b.lock("hot");
+    let rw = b.rwlock("table");
+    let bar = b.barrier("round");
+    let cv = b.condvar("go");
+    let main = b.thread("main", 0);
+    let tids: Vec<_> = (0..workers).map(|i| b.thread(format!("w{i}"), 1)).collect();
+    for &t in &tids {
+        b.on(main).create(t);
+    }
+    for r in 0..rounds {
+        for (i, &t) in tids.iter().enumerate() {
+            let now = b.now(t);
+            if (r + i) % 2 == 0 {
+                b.on(t).cs_blocked(hot, now + 2, 3);
+            } else {
+                b.on(t).cs(hot, 2);
+            }
+            b.on(t).rw(rw, i % 2 == 0, 1).work(i as u64 + 1);
+            if r % 3 == 0 {
+                let now = b.now(t);
+                b.on(t).cond_wait_unmatched(cv, now + 1);
+            }
+        }
+        let depart = tids.iter().map(|&t| b.now(t)).max().unwrap_or(0) + 1;
+        for &t in &tids {
+            b.on(t).barrier(bar, r as u32, depart);
+        }
+    }
+    for &t in &tids {
+        b.on(t).exit();
+        let end = b.now(t).max(b.now(main));
+        b.on(main).join(t, end);
+    }
+    b.on(main).exit();
+    b.build().unwrap()
+}
+
+/// `trace`'s frames with the streams' events interleaved: one `Events`
+/// frame per stream in turn, sized from `sizes` in turn, so that every
+/// stream is cut at points that vary.
+fn interleaved_frames(trace: &Trace, sizes: &[usize]) -> Vec<RawFrame> {
+    let mut frames: Vec<Frame> = trace_frames(trace)
+        .into_iter()
+        .filter(|f| !matches!(f, Frame::Events { .. } | Frame::End))
+        .collect();
+    let mut next = vec![0; trace.threads.len()];
+    let mut k = 0;
+    while next.iter().zip(&trace.threads).any(|(&i, s)| i < s.events.len()) {
+        for (i, stream) in next.iter_mut().zip(&trace.threads) {
+            let end = (*i + sizes[k % sizes.len()]).min(stream.events.len());
+            k += 1;
+            if *i < end {
+                frames.push(Frame::Events {
+                    tid: stream.tid,
+                    events: stream.events[*i..end].to_vec(),
+                });
+                *i = end;
+            }
+        }
+    }
+    frames.push(Frame::End);
+    frames.iter().map(|f| RawFrame::encode(f).unwrap()).collect()
+}
+
+/// Refresh `asm` as the collector does. The served report must be
+/// `analyze(repair(p))` of the partial trace `p`, and `p` must be left as
+/// it was. Returns the snapshot and whether it took the copy path.
+#[track_caller]
+fn refresh_checked(asm: &mut SessionAssembler) -> (SessionSnapshot, bool) {
+    let partial = asm.partial().clone();
+    let copies = asm.copy_refreshes();
+    let snap = SessionSnapshot::compute(1, "oracle".into(), asm, 0, 0, 0);
+    assert_eq!(asm.partial(), &partial, "the refresh changed the partial trace");
+    assert_eq!(snap.report, analyze(&repair(&partial)), "served != analyze(repair(partial))");
+    (snap, asm.copy_refreshes() > copies)
+}
+
 /// Every closed window a snapshot (or assembler) serves must equal the
 /// offline oracle: `analyze(clip(trace, lo, hi))`, digested.
 #[track_caller]
@@ -116,7 +207,7 @@ proptest! {
                 asm.apply_raw(frame);
             }
             i = end;
-            asm.advance_windows(&asm.finalize());
+            asm.analyze_repaired();
             served.extend(asm.windows());
         }
         for frame in &frames[i..] {
@@ -127,10 +218,150 @@ proptest! {
         // mid-stream or at the end matches the offline clip oracle on it.
         let full = asm.finalize();
         prop_assert_eq!(&full, &trace);
-        asm.advance_windows(&full);
+        asm.analyze_repaired();
         served.extend(asm.windows());
         assert_windows_match_oracle(&served, &full, 16);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A clean session delivered in random batches of interleaved frames,
+    /// refreshed after each batch, so the streams' closes are appended
+    /// and taken off again many times, with windowing on or off and the
+    /// assembler checkpointed and restored once: each refresh serves
+    /// `analyze(repair(partial))` in place, and the windows it closes
+    /// match the offline oracle over the final trace.
+    #[test]
+    fn served_report_is_repair_of_the_partial_at_every_refresh(
+        workers in 1usize..4,
+        rounds in 1usize..10,
+        sizes in prop::collection::vec(1usize..24, 1..6),
+        batches in prop::collection::vec(1usize..6, 1..8),
+        windowed in any::<bool>(),
+        restore_at in 0usize..40,
+    ) {
+        const WIDTH: Ts = 16;
+        let trace = rich_trace(workers, rounds);
+        let frames = interleaved_frames(&trace, &sizes);
+        let window = windowed.then_some(WIDTH);
+        let mut asm = SessionAssembler::new();
+        if let Some(width) = window {
+            asm.set_window(width);
+        }
+        let mut served = Vec::new();
+        let mut copies = 0;
+        let mut delivered = 0;
+        for (k, &batch) in batches.iter().cycle().enumerate() {
+            for frame in &frames[delivered..(delivered + batch).min(frames.len())] {
+                asm.apply_raw(frame);
+            }
+            delivered = (delivered + batch).min(frames.len());
+            if k == restore_at {
+                asm = SessionAssembler::restore(asm.checkpoint_doc(b"t"), Budget::default(), window);
+            }
+            let (snap, copied) = refresh_checked(&mut asm);
+            copies += u64::from(copied);
+            served.extend(snap.windows);
+            if delivered == frames.len() {
+                break;
+            }
+        }
+        prop_assert_eq!(asm.partial(), &trace);
+        prop_assert_eq!(copies, 0, "a clean session took the copy path");
+        assert_windows_match_oracle(&served, &trace, WIDTH);
+    }
+}
+
+/// Each input that makes `repair` change the partial trace, or that the
+/// cursors cannot vouch for, sends a refresh down the copy path, and the
+/// served report stays `analyze(repair(partial))` there and after: an
+/// orphan event (a dirty cursor), a thread-id gap, a peer named past the
+/// streams, threads announced out of order, events on objects not yet
+/// registered, and registrations that change a slot's kind. Streams stay
+/// in thread-id order, and a refresh after the fault has passed goes
+/// back to the partial trace in place.
+#[test]
+fn every_copy_path_trigger_keeps_the_served_report_exact() {
+    use EventKind::*;
+    let (hot, cv) = (ObjId(0), ObjId(1));
+    let objects = |kinds: &[ObjKind]| -> Vec<ObjInfo> {
+        kinds.iter().map(|&kind| ObjInfo { kind, name: format!("{kind:?}") }).collect()
+    };
+    let apply = |asm: &mut SessionAssembler, frame: Frame| {
+        asm.apply_raw(&RawFrame::encode(&frame).unwrap());
+    };
+    let events = |tid: u32, events: &[(Ts, EventKind)]| Frame::Events {
+        tid: ThreadId(tid),
+        events: events.iter().map(|&(ts, kind)| Event::new(ts, kind)).collect(),
+    };
+    let thread = |tid: u32| Frame::Thread { tid: ThreadId(tid), name: None };
+    let start = || {
+        let mut asm = SessionAssembler::new();
+        apply(&mut asm, Frame::Start { meta: Default::default() });
+        asm
+    };
+    let open_hold =
+        [(0, ThreadStart), (1, LockAcquire { lock: hot }), (2, LockObtain { lock: hot })];
+
+    // A dirty cursor: an orphan release after the hold is released.
+    let mut asm = start();
+    apply(&mut asm, Frame::Objects { first_id: 0, objects: objects(&[ObjKind::Lock]) });
+    apply(&mut asm, thread(0));
+    apply(&mut asm, events(0, &open_hold));
+    assert!(!refresh_checked(&mut asm).1, "a clean stream is analyzed in place");
+    apply(&mut asm, events(0, &[(3, LockRelease { lock: hot }), (4, LockRelease { lock: hot })]));
+    assert!(refresh_checked(&mut asm).1, "an orphan must take the copy path");
+
+    // Threads announced out of order leave a gap until the last arrives;
+    // a peer named before its stream is announced is a gap too.
+    let mut asm = start();
+    apply(&mut asm, Frame::Objects { first_id: 0, objects: objects(&[ObjKind::Lock]) });
+    apply(&mut asm, thread(2));
+    apply(&mut asm, events(2, &open_hold));
+    assert!(refresh_checked(&mut asm).1, "streams 0 and 1 are missing");
+    apply(&mut asm, thread(0));
+    apply(&mut asm, events(0, &[(0, ThreadStart), (1, ThreadCreate { child: ThreadId(1) })]));
+    assert!(refresh_checked(&mut asm).1, "stream 1 is missing");
+    apply(&mut asm, thread(1));
+    apply(&mut asm, events(1, &[(1, ThreadStart)]));
+    assert!(!refresh_checked(&mut asm).1, "dense again");
+    apply(&mut asm, events(1, &[(2, ThreadCreate { child: ThreadId(3) })]));
+    assert!(refresh_checked(&mut asm).1, "thread 3 is named but has no stream");
+    let tids: Vec<u32> = asm.partial().threads.iter().map(|s| s.tid.0).collect();
+    assert_eq!(tids, [0, 1, 2], "streams must stay in thread-id order");
+
+    // A slot re-registered with another kind turns the lock events on it
+    // into orphans: the cursors step again and the stream is dirty.
+    let mut asm = start();
+    apply(&mut asm, Frame::Objects { first_id: 0, objects: objects(&[ObjKind::Lock]) });
+    apply(&mut asm, thread(0));
+    apply(&mut asm, events(0, &open_hold));
+    assert!(!refresh_checked(&mut asm).1);
+    apply(&mut asm, Frame::Objects { first_id: 0, objects: objects(&[ObjKind::Condvar]) });
+    assert!(refresh_checked(&mut asm).1, "the hold is on a condvar now");
+
+    // Events on an object past the registry are dropped by the cursor
+    // (repair infers the lock) until the registry grows to hold it.
+    let mut asm = start();
+    apply(&mut asm, thread(0));
+    apply(&mut asm, events(0, &open_hold));
+    assert!(refresh_checked(&mut asm).1, "lock 0 is not registered yet");
+    apply(&mut asm, Frame::Objects { first_id: 0, objects: objects(&[ObjKind::Lock]) });
+    assert!(!refresh_checked(&mut asm).1, "the registration makes the stream clean");
+
+    // A registration gap: lock events on the `Marker` placeholder are
+    // dropped by the cursor (repair infers the lock), until the late
+    // registration fills the slot and the cursors step again.
+    let mut asm = start();
+    apply(&mut asm, Frame::Objects { first_id: 1, objects: objects(&[ObjKind::Condvar]) });
+    apply(&mut asm, thread(0));
+    apply(&mut asm, events(0, &open_hold));
+    apply(&mut asm, events(0, &[(3, CondWaitBegin { cv })]));
+    assert!(refresh_checked(&mut asm).1, "slot 0 is a placeholder");
+    apply(&mut asm, Frame::Objects { first_id: 0, objects: objects(&[ObjKind::Lock]) });
+    assert!(!refresh_checked(&mut asm).1, "the filled slot makes the stream clean");
 }
 
 /// `chunky_trace()` delivered one frame at a time, in push order, with a
@@ -195,12 +426,21 @@ fn live_windows_match_offline_clip_exactly() {
 /// Satellite: the fault matrix of PR 2 composed with incremental
 /// maintenance — under every built-in transport fault plan, a resumable
 /// push still yields a live snapshot whose report and closed windows
-/// both equal the offline oracles.
+/// both equal the offline oracles. The push is paced and the status
+/// polled while it runs, and each report served mid-push is
+/// `analyze(repair(p))` of the partial trace `p` of the frames it counts.
 #[test]
 fn fault_matrix_preserves_report_and_window_exactness() {
     const WIDTH: Ts = 100;
     let trace = chunky_trace();
     let offline = analyze(&trace);
+    // The report of every prefix of the pushed frames.
+    let mut asm = SessionAssembler::new();
+    let mut prefix: Vec<AnalysisReport> = vec![analyze(&asm.finalize())];
+    for frame in trace_frames(&trace) {
+        asm.apply_raw(&RawFrame::encode(&frame).unwrap());
+        prefix.push(analyze(&asm.finalize()));
+    }
     for plan in FaultPlan::all_builtin() {
         let name = plan.name.clone();
         let mut config = test_config();
@@ -211,13 +451,26 @@ fn fault_matrix_preserves_report_and_window_exactness() {
         let handle = start(config).unwrap();
 
         let opts = PushOptions {
+            pace: Some(Duration::from_millis(2)),
             timeout: Some(Duration::from_secs(10)),
             retry: RetryPolicy::with_attempts(8),
             fault_plan: Some(plan),
             ..PushOptions::default()
         };
-        push_with(handle.ingest_addr(), &trace, &opts)
-            .unwrap_or_else(|e| panic!("plan `{name}`: push failed: {e}"));
+        let polled = std::thread::scope(|scope| {
+            let push = scope.spawn(|| push_with(handle.ingest_addr(), &trace, &opts));
+            let mut polled = 0;
+            while !push.is_finished() {
+                for snap in handle.status().sessions {
+                    let frames = snap.frames as usize;
+                    assert_eq!(snap.report, prefix[frames], "plan `{name}`: stale at {frames}");
+                    polled += 1;
+                }
+            }
+            push.join().unwrap().unwrap_or_else(|e| panic!("plan `{name}`: push failed: {e}"));
+            polled
+        });
+        assert!(polled > 0, "plan `{name}`: no report served mid-push");
         wait_for(&handle, "session to end", |s| s.sessions.first().is_some_and(|x| x.ended));
 
         let status = handle.status();

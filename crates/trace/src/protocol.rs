@@ -93,7 +93,7 @@ pub(crate) enum Completed {
 /// The protocol state of one thread: its open lock and rwlock
 /// invocations, its open barrier episode and its open condvar wait, each
 /// with the index the driver gave the event that opened it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Protocol {
     /// Open invocations in acquisition order. Threads nest few locks, so
     /// a search from the innermost end beats hashing.
@@ -331,16 +331,19 @@ impl Protocol {
 }
 
 /// Remove the events at the indices `at` (in any order) from `out`.
+/// Only the events from the lowest index on move, so closing a long
+/// stream costs what its open tail holds.
 pub(crate) fn excise(out: &mut Vec<Event>, mut at: Vec<usize>) {
-    if at.is_empty() {
-        return;
-    }
+    let Some(&first) = at.iter().min() else { return };
     at.sort_unstable();
-    let mut i = 0;
-    out.retain(|_| {
-        i += 1;
-        at.binary_search(&(i - 1)).is_err()
-    });
+    let mut kept = first;
+    for i in first..out.len() {
+        if at.binary_search(&i).is_err() {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
 }
 
 #[cfg(test)]

@@ -48,6 +48,11 @@
 //!
 //! On a well-formed stream repair is the identity, which is what makes a
 //! live snapshot of a complete session match offline analysis exactly.
+//! Each stream is repaired by a [`RepairCursor`] resumed from empty; the
+//! collector keeps one per stream and resumes it as the stream grows, so
+//! that it repairs only what is new, and while the cursors report no
+//! change it closes the partial trace's streams in place instead of
+//! copying them.
 //!
 //! [`clip`] cuts a trace to a time window for phase and sliding-window
 //! analysis (`critlock_analysis::window` re-exports it). It drives the
@@ -472,45 +477,166 @@ pub fn repair(partial: &Trace) -> Trace {
 /// Rebuild one thread's event list so it satisfies the protocol: drop
 /// each violating event (an orphan of a dropped frame) and go on, then
 /// close what is open at the last kept timestamp, or at the
-/// `ThreadExit`'s.
+/// `ThreadExit`'s. A resume from the empty cursor.
 fn repair_stream(events: &[Event], objects: &[ObjInfo]) -> Vec<Event> {
-    let mut protocol = Protocol::default();
     let mut out: Vec<Event> = Vec::with_capacity(events.len() + 4);
-    let mut last_ts: Ts = 0;
-    for ev in events {
-        // Clamp any backwards timestamp (possible only after frame loss).
-        let ts = ev.ts.max(last_ts);
-        match ev.kind {
-            EventKind::ThreadStart if !out.is_empty() => continue,
-            EventKind::ThreadStart => {}
-            EventKind::ThreadExit => {
-                // Appended by `close`, after the open waits.
-                last_ts = ts;
-                break;
-            }
-            kind => {
-                let registered = kind
-                    .expected_object()
-                    .is_none_or(|(obj, k)| objects.get(obj.index()).is_some_and(|o| o.kind == k));
-                // A kept first event gets a synthesized ThreadStart ahead of it.
-                let at = out.len() + usize::from(out.is_empty());
-                if !registered || protocol.step(kind, at).is_err() {
-                    continue;
-                }
-                if out.is_empty() {
-                    out.push(Event::new(ts, EventKind::ThreadStart));
-                }
-            }
-        }
-        out.push(Event::new(ts, ev.kind));
-        last_ts = ts;
-    }
-    // Nothing kept (say, only a ThreadExit arrived): an empty stream is
-    // valid.
-    if !out.is_empty() {
-        protocol.close(last_ts, &mut out);
-    }
+    let mut cursor = RepairCursor::default();
+    cursor.resume(events, objects, |ev| out.push(ev));
+    cursor.close(&mut out);
     out
+}
+
+/// How far [`repair`] has got through one thread stream, so that it can
+/// resume when more of the stream arrives: the protocol machine, the
+/// number of received events stepped, and the last kept timestamp. It
+/// also records whether repair has changed the stream so far, that is
+/// dropped, clamped or synthesized an event. While it has not, the
+/// repaired stream is the received one plus the close, which
+/// [`RepairCursor::close_in_place`] appends to the received stream
+/// itself.
+///
+/// Each event is stepped against the object registry current at the
+/// time. A cursor stays right as long as no registered slot changes
+/// kind; an event on an object past the registry, or on a slot of
+/// another kind (a `Marker` placeholder included), is dropped, so it
+/// needs first-use inference and marks the stream changed.
+#[derive(Debug, Clone, Default)]
+pub struct RepairCursor {
+    protocol: Protocol,
+    /// Received events stepped so far.
+    stepped: usize,
+    /// Events the repaired stream holds so far, its close not counted.
+    kept: usize,
+    /// The last kept timestamp, or the `ThreadExit`'s once it has come.
+    last_ts: Ts,
+    exited: bool,
+    changed: bool,
+    /// The highest thread id an event names as its peer.
+    max_peer: Option<ThreadId>,
+}
+
+impl RepairCursor {
+    /// Step the events of `stream` past those already stepped, against
+    /// the registry `objects`, handing each event the repaired stream
+    /// keeps to `keep`, in order. `stream` must extend the stream the
+    /// cursor has stepped so far.
+    pub fn resume(&mut self, stream: &[Event], objects: &[ObjInfo], mut keep: impl FnMut(Event)) {
+        for ev in &stream[self.stepped..] {
+            self.step(*ev, objects, &mut keep);
+        }
+        self.stepped = stream.len();
+    }
+
+    #[inline(always)]
+    fn step(&mut self, ev: Event, objects: &[ObjInfo], keep: &mut impl FnMut(Event)) {
+        if let Some(peer) = ev.kind.peer_thread() {
+            self.max_peer = self.max_peer.max(Some(peer));
+        }
+        // Clamp any backwards timestamp (possible only after frame loss).
+        let ts = ev.ts.max(self.last_ts);
+        let dropped = self.exited
+            || match ev.kind {
+                EventKind::ThreadStart => self.kept > 0,
+                EventKind::ThreadExit => {
+                    // Appended by `close`, after the open waits.
+                    self.last_ts = ts;
+                    self.exited = true;
+                    self.changed |= ts != ev.ts || self.kept == 0 || !self.protocol.quiesced();
+                    return;
+                }
+                kind => {
+                    let registered = kind.expected_object().is_none_or(|(obj, k)| {
+                        objects.get(obj.index()).is_some_and(|o| o.kind == k)
+                    });
+                    // A kept first event gets a synthesized ThreadStart
+                    // ahead of it.
+                    let at = self.kept + usize::from(self.kept == 0);
+                    let dropped = !registered || self.protocol.step(kind, at).is_err();
+                    if !dropped && self.kept == 0 {
+                        keep(Event::new(ts, EventKind::ThreadStart));
+                        self.kept = 1;
+                        self.changed = true;
+                    }
+                    dropped
+                }
+            };
+        if dropped {
+            self.changed = true;
+            return;
+        }
+        self.changed |= ts != ev.ts;
+        keep(Event::new(ts, ev.kind));
+        self.kept += 1;
+        self.last_ts = ts;
+    }
+
+    /// Whether repair has left the stepped events as they arrived: no
+    /// event dropped, clamped or synthesized, and no `ThreadExit` that
+    /// leaves sections open.
+    pub fn is_clean(&self) -> bool {
+        !self.changed
+    }
+
+    /// The highest thread id an event stepped so far names as its peer
+    /// (a created or joined thread). [`repair`] makes streams dense up
+    /// to it.
+    pub fn max_peer(&self) -> Option<ThreadId> {
+        self.max_peer
+    }
+
+    /// Append what [`repair`] closes the kept events with, to `out`,
+    /// which holds them: the open sections, closed at the horizon, then
+    /// the `ThreadExit`.
+    pub fn close(self, out: &mut Vec<Event>) {
+        // Nothing kept (say, only a ThreadExit arrived): an empty stream
+        // is valid.
+        if self.kept > 0 {
+            self.protocol.close(self.last_ts, out);
+        }
+    }
+
+    /// Close `stream`, the received events this cursor has stepped, in
+    /// place, as [`repair`] closes them; the cursor must be clean. The
+    /// returned [`Reopen`] undoes it. Only the stream's tail moves: the
+    /// close appends, and excises only an abandoned contended acquire,
+    /// which is still open.
+    pub fn close_in_place(&self, stream: &mut Vec<Event>) -> Reopen {
+        assert!(
+            self.is_clean() && self.stepped == stream.len(),
+            "only a clean cursor that has stepped all of `stream` can close it in place"
+        );
+        let untouched = self
+            .protocol
+            .open()
+            .iter()
+            .filter(|o| matches!(o.phase, Phase::Contended { .. }))
+            .map(|o| o.acquire_at)
+            .min()
+            .unwrap_or(stream.len());
+        let reopen = Reopen { untouched, saved: stream[untouched..].to_vec() };
+        if !self.exited {
+            self.clone().close(stream);
+        }
+        reopen
+    }
+}
+
+/// What [`RepairCursor::close_in_place`] changed in a stream.
+#[must_use = "the stream stays closed until reopened"]
+#[derive(Debug)]
+pub struct Reopen {
+    /// The prefix the close left alone.
+    untouched: usize,
+    /// The received events after it.
+    saved: Vec<Event>,
+}
+
+impl Reopen {
+    /// Restore the stream as it was received.
+    pub fn undo(self, stream: &mut Vec<Event>) {
+        stream.truncate(self.untouched);
+        stream.extend(self.saved);
+    }
 }
 
 /// Clip a trace to the window `[lo, hi]`, so the standard analysis can
@@ -801,6 +927,42 @@ mod tests {
         assert!(s.report.degraded);
         assert!(s.report.anomalies.iter().any(|a| matches!(a, Anomaly::DeadlineExceeded { .. })));
         assert_eq!(s.trace.num_threads(), t.num_threads());
+    }
+
+    /// The cursor is clean exactly while repair leaves the stream as it
+    /// arrived, its close aside.
+    #[test]
+    fn cursor_is_clean_only_while_repair_changes_nothing() {
+        use EventKind::*;
+        let l = ObjId(0);
+        let objects = [ObjInfo { kind: ObjKind::Lock, name: "L".into() }];
+        let ev = |ts, kind| Event::new(ts, kind);
+        let held =
+            [ev(0, ThreadStart), ev(1, LockAcquire { lock: l }), ev(2, LockObtain { lock: l })];
+        let done = [&held[..], &[ev(3, LockRelease { lock: l })]].concat();
+        let exited = [&done[..], &[ev(4, ThreadExit)]].concat();
+        let changed: [(&str, Vec<Event>); 7] = [
+            ("exit alone", vec![ev(4, ThreadExit)]),
+            ("exit while held", [&held[..], &[ev(4, ThreadExit)]].concat()),
+            ("no start", done[1..].to_vec()),
+            ("duplicate start", [&done[..], &[ev(3, ThreadStart)]].concat()),
+            ("backwards", [&done[..], &[ev(1, LockAcquire { lock: l })]].concat()),
+            ("orphan", [&done[..], &[ev(3, LockRelease { lock: l })]].concat()),
+            ("after exit", [&exited[..], &[ev(5, LockAcquire { lock: l })]].concat()),
+        ];
+        for (case, events) in changed {
+            let mut cursor = RepairCursor::default();
+            let mut out = Vec::new();
+            cursor.resume(&events, &objects, |ev| out.push(ev));
+            assert!(!cursor.is_clean(), "{case}");
+            cursor.close(&mut out);
+            assert_ne!(out, events, "{case}");
+        }
+        for events in [Vec::new(), held.to_vec(), done, exited] {
+            let mut cursor = RepairCursor::default();
+            cursor.resume(&events, &objects, |_| {});
+            assert!(cursor.is_clean(), "{events:?}");
+        }
     }
 
     #[test]
